@@ -33,14 +33,11 @@ from .ebox import (
     two_level_relaxation_probs,
 )
 from .engine import (
-    Trajectory,
     WorkDistribution,
     bin_works,
     crooks_residual,
-    enumerate_trajectories,
     epsilon_guaranteed_work,
     jarzynski_sum,
-    trajectory_work,
     variation_distance,
     work_distribution,
     worst_case_work,
@@ -83,4 +80,4 @@ from .singleshot import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.0.0"
+__version__ = "1.1.0"

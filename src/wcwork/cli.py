@@ -174,7 +174,7 @@ def _run(cfg: RunConfig, seed: int, extracted: bool) -> str:
         protocol, rho0 = _build_protocol(cfg)
         dist = engine.work_distribution(
             protocol, rho0, bin_tolerance=float(cfg.get("bin_tolerance", 1e-9)))
-        return _csv_lines("w,p", [(sign * w, p) for w, p in dist.atoms])
+        return _csv_lines("w,p", [(sign * w, p) for w, p in dist.atoms.tolist()])
 
     if cfg.mode == "equality":
         protocol, rho0 = _build_protocol(cfg)
@@ -203,24 +203,34 @@ def _run(cfg: RunConfig, seed: int, extracted: bool) -> str:
         protocol, rho0 = _build_protocol(cfg)
         beta = protocol.beta
         _, z0 = model.make_thermal_state(protocol.initial, beta)
-        _, zf = model.make_thermal_state(protocol.final_landscape, beta)
+        gamma_f, zf = model.make_thermal_state(protocol.final_landscape, beta)
         fwd = engine.work_distribution(protocol, rho0)
-        gamma_f, _ = model.make_thermal_state(protocol.final_landscape, beta)
         rev = engine.work_distribution(model.reverse_protocol(protocol), gamma_f)
-        resid = engine.crooks_residual(fwd, rev, z0, zf, beta)
         jz = engine.jarzynski_sum(fwd, beta)
         doc = {
-            "max_crooks_residual": float(np.max(np.abs(resid))),
+            "max_crooks_residual": engine.crooks_residual(fwd, rev, z0, zf, beta),
             "jarzynski_residual": abs(jz - zf / z0),
             "log_z_ratio": math.log(zf / z0),
         }
         return json.dumps(doc, indent=2) + "\n"
 
     params = _ebox_params(cfg)
+    if cfg.mode == "ebox-sweep":
+        rows = ebox.szilard_sweep(
+            [float(t) for t in cfg.require("durations")],
+            cfg.require("eps"),
+            float(cfg.require("eps_max")),
+            int(cfg.require("n_traj")),
+            int(cfg.require("n_steps")),
+            seed,
+            params,
+        )
+        return _csv_lines("speed,eps,w_eps,stderr", rows)
+
     ramp = _ramp(cfg)
+    rho0 = _ebox_rho0(cfg, ramp, params.beta)
 
     if cfg.mode == "ebox-mc":
-        rho0 = _ebox_rho0(cfg, ramp, params.beta)
         dist = ebox.monte_carlo_work(
             ramp, rho0, int(cfg.require("n_traj")), int(cfg.require("n_steps")),
             seed, params)
@@ -235,7 +245,6 @@ def _run(cfg: RunConfig, seed: int, extracted: bool) -> str:
         return _csv_lines("w_lo,w_hi,density", rows)
 
     if cfg.mode == "ebox-series":
-        rho0 = _ebox_rho0(cfg, ramp, params.beta)
         w_grid = np.asarray(cfg.require("w_grid"), float)
         dist = ebox.analytic_work_distribution(
             ramp, int(cfg.get("j_max", 3)), w_grid, rho0, params)
@@ -251,7 +260,6 @@ def _run(cfg: RunConfig, seed: int, extracted: bool) -> str:
         return _csv_lines("w_lo,w_hi,density", rows)
 
     if cfg.mode == "ebox-charfn":
-        rho0 = _ebox_rho0(cfg, ramp, params.beta)
         n_steps = int(cfg.get("n_steps", 2000))
         rows = [
             (xi, ebox.characteristic_function(float(xi), ramp, rho0,
@@ -259,18 +267,6 @@ def _run(cfg: RunConfig, seed: int, extracted: bool) -> str:
             for xi in cfg.require("xi_values")
         ]
         return _csv_lines("xi,z", rows)
-
-    if cfg.mode == "ebox-sweep":
-        rows = ebox.szilard_sweep(
-            [float(t) for t in cfg.require("durations")],
-            cfg.require("eps"),
-            float(cfg.require("eps_max")),
-            int(cfg.require("n_traj")),
-            int(cfg.require("n_steps")),
-            seed,
-            params,
-        )
-        return _csv_lines("speed,eps,w_eps,stderr", rows)
 
     raise InvalidInputError(f"unhandled mode {cfg.mode}")  # pragma: no cover
 

@@ -453,23 +453,30 @@ def characteristic_function(
     """Z(xi) = <exp(xi w)> via the tilted forward generator.
 
     Integrates phi' = M(t) phi + xi * deps/dt * diag(0, 1) phi from
-    phi(0) = p(0) and returns the sum of the components at tau.
+    phi(0) = p(0) and returns the sum of the components at tau.  Each linear
+    piece of the ramp is integrated on its own, with its constant slope, so
+    no RK4 stage takes the slope of a neighbouring piece.
     """
     if not math.isfinite(xi):
         raise InvalidInputError("xi must be finite")
-    start = _initial_pair(rho0)
+    phi = _initial_pair(rho0).astype(float)
     grid = ramp.time_grid(max(n_steps, 4))
+    # time_grid puts every breakpoint on the grid
+    bounds = np.searchsorted(grid, ramp.times)
+    slopes = (np.diff(ramp.values) / np.diff(ramp.times)).tolist()
 
-    def f(t, phi):
-        e = ramp(t)
-        gp = tunneling_rate(e, params)
-        gm = tunneling_rate(-e, params)
-        dot0 = -gp * phi[0] + gm * phi[1]
-        dot1 = gp * phi[0] - gm * phi[1] + xi * float(ramp.slope(t)) * phi[1]
-        return np.array([dot0, dot1])
+    for lo, hi, slope in zip(bounds[:-1], bounds[1:], slopes):
 
-    phi = _rk4(f, start.astype(float), grid)
-    z = float(phi[-1].sum())
+        def f(t, phi, slope=slope):
+            e = ramp(t)
+            gp = tunneling_rate(e, params)
+            gm = tunneling_rate(-e, params)
+            dot0 = -gp * phi[0] + gm * phi[1]
+            dot1 = gp * phi[0] - gm * phi[1] + xi * slope * phi[1]
+            return np.array([dot0, dot1])
+
+        phi = _rk4(f, phi, grid[lo : hi + 1])[-1]
+    z = float(phi.sum())
     if not math.isfinite(z):
         raise NumericError(
             f"characteristic function diverged at xi={xi} with {grid.size - 1} steps"
@@ -581,7 +588,8 @@ def extracted_work_quantile(samples: np.ndarray, eps: float):
     """
     if not (0.0 < eps < 1.0):
         raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
-    x = np.sort(-np.asarray(samples, dtype=float))
+    # 0.0 - w, unlike -w, maps a zero work to +0.0
+    x = np.sort(0.0 - np.asarray(samples, dtype=float))
     n = x.size
     k = int(math.floor(eps * n))
     k = min(k, n - 1)

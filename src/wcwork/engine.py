@@ -1,8 +1,13 @@
-"""Exact trajectory enumeration and work-distribution assembly.
+"""Exact work distributions by a forward recursion, and their statistics.
 
-A trajectory visits one level per protocol node (len(steps) + 1 nodes);
-its probability is the initial occupation times the product of transition
-matrix entries, and its work is the sum of per-change energy differences.
+A trajectory visits one level per protocol node (len(steps) + 1 nodes); its
+probability is the initial occupation times the product of transition matrix
+entries, and its work is the sum of per-change energy differences.  Instead
+of expanding every trajectory, the recursion carries entries (start level,
+current level, work, probability) from step to step and merges, after every
+step, the entries that share a start and a level and whose works coincide.
+Whenever work values recur, as on the lattice of a discretized ramp, the
+number of live entries stays polynomial in the number of steps.
 """
 
 from __future__ import annotations
@@ -16,143 +21,102 @@ from .errors import InvalidInputError, ResourceLimitError, SupportMismatchError
 from .model import DiagonalState, HamiltonianChange, Protocol
 
 DEFAULT_BIN_TOLERANCE = 1e-9
-DEFAULT_ENUMERATION_CAP = 10**7
+# Works closer than this are merged after every step.  It is fixed, below the
+# default bin tolerance, so that a coarse caller tolerance cannot compound
+# across steps; the caller's tolerance is applied once, to the final entries.
+_MERGE_TOLERANCE = 1e-10
+# Upper bound on live entries times levels before a step expands them.
+LIVE_ENTRY_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    nodes: tuple
-    work: float
-    probability: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkDistribution:
     """Finite set of (work, probability) atoms, sorted by work.
 
-    Atom values closer than ``bin_tolerance`` have been merged.
+    ``atoms`` is stored as a read-only (n, 2) float array; ``works`` and
+    ``probs`` are its columns.  Atom values closer than ``bin_tolerance``
+    have been merged.
     """
 
-    atoms: tuple
+    atoms: np.ndarray
     bin_tolerance: float = DEFAULT_BIN_TOLERANCE
 
     def __post_init__(self):
-        if len(self.atoms) == 0:
+        atoms = np.array(self.atoms, dtype=float).reshape(-1, 2)
+        if atoms.shape[0] == 0:
             raise InvalidInputError("work distribution needs at least one atom")
-        object.__setattr__(
-            self, "atoms", tuple((float(w), float(p)) for w, p in self.atoms)
-        )
+        if np.any(np.diff(atoms[:, 0]) < 0):
+            raise InvalidInputError("atoms must be sorted by work")
+        atoms.setflags(write=False)
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def works(self) -> np.ndarray:
-        return np.array([w for w, _ in self.atoms])
+        return self.atoms[:, 0]
 
     @property
     def probs(self) -> np.ndarray:
-        return np.array([p for _, p in self.atoms])
+        return self.atoms[:, 1]
+
+    def probs_at(self, w) -> np.ndarray:
+        """Probability of the first atom within bin_tolerance of each of
+        ``w``, NaN where no atom matches."""
+        w = np.asarray(w, dtype=float)
+        tol = max(self.bin_tolerance, 1e-12)
+        works = self.works
+        idx = np.minimum(np.searchsorted(works, w - tol), works.size - 1)
+        hit = np.abs(works[idx] - w) <= tol
+        return np.where(hit, self.probs[idx], np.nan)
 
     def prob_at(self, w: float):
         """Probability of the atom matching ``w`` within bin_tolerance, or None."""
-        tol = max(self.bin_tolerance, 1e-12)
-        idx = np.flatnonzero(np.abs(self.works - w) <= tol)
-        if idx.size == 0:
-            return None
-        return float(self.probs[idx[0]])
+        p = float(self.probs_at(w))
+        return None if math.isnan(p) else p
 
 
-def _step_matrix(step) -> np.ndarray:
-    return step.matrix
+def _merge(key, work, prob, tol):
+    """Sort entries by (key, work) and merge each run of one key whose
+    adjacent works lie within ``tol``: masses add, and the merged work is the
+    probability-weighted mean, taken as an offset from the run's first work
+    so that an unmerged entry keeps its work exactly."""
+    order = np.lexsort((work, key))
+    key, work, prob = key[order], work[order], prob[order]
+    cut = np.flatnonzero((np.diff(key) != 0) | (np.diff(work) > tol)) + 1
+    first = np.concatenate(([0], cut))
+    base = work[first]
+    mass = np.add.reduceat(prob, first)
+    offset = work - np.repeat(base, np.diff(np.append(first, work.size)))
+    return key[first], base + np.add.reduceat(offset * prob, first) / mass, mass
 
 
-def _enumerate_arrays(
-    protocol: Protocol,
-    rho0: DiagonalState,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    prune_below: float = 0.0,
-    track_nodes: bool = False,
-):
-    """Vectorized depth-first expansion over all positive-probability paths.
-
-    Returns (start_levels, levels, works, probs, nodes_or_None, pruned_mass).
-    """
+def _forward(protocol: Protocol, rho0: DiagonalState):
+    """Final (start level, work, probability) entries of the exact recursion."""
     d = protocol.d
     if rho0.d != d:
         raise InvalidInputError("state dimension does not match protocol")
-    n_nodes = len(protocol.steps) + 1
-    if d**n_nodes > cap:
-        raise ResourceLimitError(
-            f"{d}^{n_nodes} trajectories exceed the cap of {cap}; "
-            "use Monte Carlo sampling instead"
-        )
     lands = protocol.landscapes()
-
-    keep = rho0.probs > max(prune_below, 0.0)
-    level = np.flatnonzero(keep)
-    prob = rho0.probs[level].copy()
-    work = np.zeros(level.size)
-    start = level.copy()
-    nodes = level[:, None] if track_nodes else None
-    pruned = float(rho0.probs[~keep].sum())
-
+    start = np.flatnonzero(rho0.probs > 0)
+    level = start
+    work = np.zeros(start.size)
+    prob = rho0.probs[start]
     for k, step in enumerate(protocol.steps):
-        m = _step_matrix(step)
-        trans = m[:, level].T  # trans[n, j] = p(level[n] -> j)
-        new_prob = prob[:, None] * trans
+        if level.size * d > LIVE_ENTRY_CAP:
+            raise ResourceLimitError(
+                f"{level.size} live atoms times {d} levels exceed the cap of "
+                f"{LIVE_ENTRY_CAP}; use Monte Carlo sampling instead"
+            )
+        new_prob = (prob[:, None] * step.matrix[:, level].T).ravel()
         if isinstance(step, HamiltonianChange):
             d_e = step.target.energies[None, :] - lands[k].energies[level][:, None]
-            new_work = work[:, None] + d_e
+            new_work = (work[:, None] + d_e).ravel()
         else:
-            new_work = np.broadcast_to(work[:, None], new_prob.shape)
-        new_level = np.broadcast_to(np.arange(d)[None, :], new_prob.shape)
-        new_start = np.broadcast_to(start[:, None], new_prob.shape)
-
-        flat_prob = new_prob.ravel()
-        mask = flat_prob > max(prune_below, 0.0)
-        if prune_below > 0.0:
-            pruned += float(flat_prob[~mask & (flat_prob > 0)].sum())
-        if mask.sum() > cap:
-            raise ResourceLimitError(
-                f"live trajectory count exceeds the cap of {cap}; "
-                "use Monte Carlo sampling instead"
-            )
-        prob = flat_prob[mask]
-        work = new_work.ravel()[mask]
-        level = new_level.ravel()[mask]
-        start = new_start.ravel()[mask]
-        if track_nodes:
-            rep = np.repeat(nodes, d, axis=0)
-            nodes = np.concatenate([rep, new_level.reshape(-1, 1)], axis=1)[mask]
-
-    return start, level, work, prob, nodes, pruned
-
-
-def enumerate_trajectories(
-    protocol: Protocol,
-    rho0: DiagonalState,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    prune_below: float = 0.0,
-) -> list:
-    """Every trajectory with probability > 0 (or > prune_below), as objects."""
-    _, _, work, prob, nodes, _ = _enumerate_arrays(
-        protocol, rho0, cap=cap, prune_below=prune_below, track_nodes=True
-    )
-    return [
-        Trajectory(nodes=tuple(int(x) for x in nodes[i]), work=float(work[i]),
-                   probability=float(prob[i]))
-        for i in range(prob.size)
-    ]
-
-
-def trajectory_work(protocol: Protocol, nodes) -> float:
-    """Recompute the work of a node sequence under a protocol."""
-    if len(nodes) != len(protocol.steps) + 1:
-        raise InvalidInputError("node count must be len(steps) + 1")
-    lands = protocol.landscapes()
-    w = 0.0
-    for k, step in enumerate(protocol.steps):
-        if isinstance(step, HamiltonianChange):
-            w += step.target.energies[nodes[k + 1]] - lands[k].energies[nodes[k]]
-    return float(w)
+            new_work = np.repeat(work, d)
+        key = (start[:, None] * d + np.arange(d)[None, :]).ravel()
+        live = new_prob > 0
+        key, work, prob = _merge(key[live], new_work[live], new_prob[live],
+                                 _MERGE_TOLERANCE)
+        start, level = np.divmod(key, d)
+    return start, work, prob
 
 
 def bin_works(
@@ -164,33 +128,15 @@ def bin_works(
     probs = np.asarray(probs, dtype=float)
     if works.size == 0:
         raise InvalidInputError("no trajectories to bin")
-    order = np.argsort(works, kind="stable")
-    w = works[order]
-    p = probs[order]
-    cuts = np.flatnonzero(np.diff(w) > bin_tolerance) + 1
-    atoms = []
-    for seg_w, seg_p in zip(np.split(w, cuts), np.split(p, cuts)):
-        mass = seg_p.sum()
-        atoms.append((float(np.dot(seg_w, seg_p) / mass), float(mass)))
-    return WorkDistribution(atoms=tuple(atoms), bin_tolerance=bin_tolerance)
+    _, w, p = _merge(np.zeros(works.size, dtype=int), works, probs, bin_tolerance)
+    return WorkDistribution(atoms=np.column_stack([w, p]),
+                            bin_tolerance=bin_tolerance)
 
 
-def work_distribution(
-    protocol: Protocol,
-    rho0: DiagonalState,
-    bin_tolerance: float = DEFAULT_BIN_TOLERANCE,
-    restrict_start=None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    prune_below: float = 0.0,
-) -> WorkDistribution:
-    """Work distribution by exact enumeration.
-
-    With ``restrict_start`` (an iterable of level indices) the distribution is
-    conditioned on trajectories starting in those levels.
-    """
-    start, _, work, prob, _, _ = _enumerate_arrays(
-        protocol, rho0, cap=cap, prune_below=prune_below
-    )
+def _distribution(entries, bin_tolerance=DEFAULT_BIN_TOLERANCE, restrict_start=None):
+    """Bin the recursion's final entries, optionally conditioned on the
+    trajectories that start in the levels ``restrict_start``."""
+    start, work, prob = entries
     if restrict_start is not None:
         sel = np.isin(start, np.fromiter(restrict_start, dtype=int))
         work, prob = work[sel], prob[sel]
@@ -200,19 +146,26 @@ def work_distribution(
     return bin_works(work, prob, bin_tolerance)
 
 
-def worst_case_work(dist: WorkDistribution, restrict=None, prob_floor: float = 0.0):
-    """Largest work value with probability above ``prob_floor``.
+def work_distribution(
+    protocol: Protocol,
+    rho0: DiagonalState,
+    bin_tolerance: float = DEFAULT_BIN_TOLERANCE,
+    restrict_start=None,
+) -> WorkDistribution:
+    """Exact work distribution.
 
-    ``restrict`` narrows the maximization to an explicit trajectory subset.
+    With ``restrict_start`` (an iterable of level indices) the distribution is
+    conditioned on trajectories starting in those levels.  Works closer than
+    the merge tolerance (1e-10) are merged whatever ``bin_tolerance``.
     """
-    if restrict is not None:
-        works = [t.work for t in restrict if t.probability > prob_floor]
-        if not works:
-            raise InvalidInputError("restricted trajectory set is empty")
-        return float(max(works))
-    works = dist.works[dist.probs > prob_floor]
+    return _distribution(_forward(protocol, rho0), bin_tolerance, restrict_start)
+
+
+def worst_case_work(dist: WorkDistribution) -> float:
+    """Largest work value with positive probability."""
+    works = dist.works[dist.probs > 0]
     if works.size == 0:
-        raise InvalidInputError("work distribution has no atom above prob_floor")
+        raise InvalidInputError("work distribution has no atom of positive probability")
     return float(works.max())
 
 
@@ -229,11 +182,9 @@ def epsilon_guaranteed_work(dist: WorkDistribution, eps: float):
     ok = np.flatnonzero(tail <= eps + 1e-15)
     k = int(ok[0])
     w_eps = float(w[k])
-    kept_w = w[: k + 1]
     kept_p = p[: k + 1]
-    retained = kept_p.sum()
     cut = WorkDistribution(
-        atoms=tuple(zip(kept_w.tolist(), (kept_p / retained).tolist())),
+        atoms=np.column_stack([w[: k + 1], kept_p / kept_p.sum()]),
         bin_tolerance=dist.bin_tolerance,
     )
     return w_eps, cut
@@ -261,16 +212,15 @@ def crooks_residual(
     A forward atom without a partner at -w in the reverse distribution is a
     structural violation and raises SupportMismatchError.
     """
-    log_ratio = math.log(zf / z0)
-    worst = 0.0
-    for w, p in fwd.atoms:
-        q = rev.prob_at(-w)
-        if q is None:
-            raise SupportMismatchError(
-                f"no reverse atom at {-w!r} matching forward work {w!r}"
-            )
-        worst = max(worst, abs(math.log(p) - math.log(q) - log_ratio - beta * w))
-    return worst
+    q = rev.probs_at(-fwd.works)
+    missing = np.flatnonzero(np.isnan(q))
+    if missing.size:
+        w = float(fwd.works[missing[0]])
+        raise SupportMismatchError(
+            f"no reverse atom at {-w!r} matching forward work {w!r}"
+        )
+    resid = np.log(fwd.probs) - np.log(q) - math.log(zf / z0) - beta * fwd.works
+    return float(np.abs(resid).max())
 
 
 def jarzynski_sum(dist: WorkDistribution, beta: float) -> float:

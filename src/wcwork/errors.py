@@ -18,7 +18,7 @@ class StepSizeError(InvalidInputError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Exact enumeration would exceed the trajectory cap; use Monte Carlo."""
+    """The exact recursion's live atoms would exceed the cap; use Monte Carlo."""
 
 
 class NumericError(RuntimeError):

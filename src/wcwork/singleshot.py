@@ -18,11 +18,12 @@ import numpy as np
 
 from .engine import (
     WorkDistribution,
+    _distribution,
+    _forward,
     epsilon_guaranteed_work,
     variation_distance,
     work_distribution,
     worst_case_work,
-    _enumerate_arrays,
 )
 from .errors import InvalidInputError
 from .model import (
@@ -32,6 +33,7 @@ from .model import (
     LevelPartition,
     Protocol,
     make_thermal_state,
+    reverse_protocol,
 )
 
 _NORM_ATOL = 1e-9
@@ -51,13 +53,10 @@ def d_infinity(p, q) -> float:
     +inf when the forward support is not covered.
     """
     if isinstance(p, WorkDistribution):
-        best = -math.inf
-        for w, pw in p.atoms:
-            qw = q.prob_at(-w)
-            if qw is None:
-                return math.inf
-            best = max(best, math.log(pw) - math.log(qw))
-        return best
+        qw = q.probs_at(-p.works)
+        if np.isnan(qw).any():
+            return math.inf
+        return float(np.max(np.log(p.probs) - np.log(qw)))
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
@@ -156,8 +155,9 @@ _ZERO_OCCUPATION_LIFT = 800.0
 
 @dataclass(frozen=True)
 class TildeScenario:
-    """Associated thermal state, its partition function, and the protocol with
-    the prepended lowering of the lifted levels."""
+    """Associated thermal state, its partition function, the protocol with
+    the prepended lowering of the lifted levels, and that protocol's work
+    distribution from the associated thermal state."""
 
     gamma_tilde: DiagonalState
     z_tilde: float
@@ -165,6 +165,7 @@ class TildeScenario:
     lifted_energies: dict
     p_out: float
     mild_assumption_ok: bool
+    forward: WorkDistribution
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,6 @@ def build_tilde_scenario(
     rho0: DiagonalState,
     protocol: Protocol,
     partition: LevelPartition,
-    cap: int = 10**7,
     mild_tol: float = 1e-9,
 ) -> TildeScenario:
     """Construct the associated thermal state and its prepended protocol.
@@ -226,13 +226,10 @@ def build_tilde_scenario(
         steps=(lowering,) + tuple(protocol.steps),
     )
 
-    full = work_distribution(tilde_protocol, gamma_tilde, cap=cap)
-    w0_full = worst_case_work(full)
-    in_dist = work_distribution(
-        tilde_protocol, gamma_tilde, restrict_start=in_idx, cap=cap
-    )
-    w0_in_tilde = worst_case_work(in_dist)
-    mild_ok = abs(w0_full - w0_in_tilde) <= mild_tol
+    entries = _forward(tilde_protocol, gamma_tilde)
+    full = _distribution(entries)
+    w0_in_tilde = worst_case_work(_distribution(entries, restrict_start=in_idx))
+    mild_ok = abs(worst_case_work(full) - w0_in_tilde) <= mild_tol
 
     return TildeScenario(
         gamma_tilde=gamma_tilde,
@@ -241,33 +238,31 @@ def build_tilde_scenario(
         lifted_energies=lifted,
         p_out=p_out,
         mild_assumption_ok=mild_ok,
+        forward=full,
     )
 
 
-def _tilde_distributions(scenario: TildeScenario, cap: int):
-    from .model import reverse_protocol  # local to avoid cycle at import time
-
+def _reverse_distribution(scenario: TildeScenario):
+    """Work distribution of the reversed tilde protocol from the final Gibbs
+    state, and the final partition function."""
     proto = scenario.tilde_protocol
-    fwd = work_distribution(proto, scenario.gamma_tilde, cap=cap)
     gamma_f, z_f = make_thermal_state(proto.final_landscape, proto.beta)
-    rev = work_distribution(reverse_protocol(proto), gamma_f, cap=cap)
-    return fwd, rev, z_f
+    return work_distribution(reverse_protocol(proto), gamma_f), z_f
 
 
 def main_equality_report(
     rho0: DiagonalState,
     protocol: Protocol,
     partition: LevelPartition,
-    cap: int = 10**7,
 ) -> EqualityReport:
     """Worst-case work of the retained trajectories versus penalty - optimum."""
-    scen = build_tilde_scenario(rho0, protocol, partition, cap=cap)
-    fwd, rev, z_f = _tilde_distributions(scen, cap)
-    d_inf = d_infinity(fwd, rev)
+    scen = build_tilde_scenario(rho0, protocol, partition)
+    rev, z_f = _reverse_distribution(scen)
+    d_inf = d_infinity(scen.forward, rev)
     optimum = math.log(z_f / scen.z_tilde)
 
     in_dist = work_distribution(
-        protocol, rho0, restrict_start=partition.in_indices(), cap=cap
+        protocol, rho0, restrict_start=partition.in_indices()
     )
     w0_in = worst_case_work(in_dist)
     residual = abs(protocol.beta * w0_in - d_inf + optimum)
@@ -289,7 +284,6 @@ def work_tail_equality_report(
     protocol: Protocol,
     partition: LevelPartition,
     eps: float,
-    cap: int = 10**7,
 ) -> EqualityReport:
     """Equality after additionally cutting the eps-tail of the work distribution.
 
@@ -299,8 +293,9 @@ def work_tail_equality_report(
     """
     if not (0.0 <= eps < 1.0):
         raise InvalidInputError(f"eps must be in [0, 1), got {eps}")
-    scen = build_tilde_scenario(rho0, protocol, partition, cap=cap)
-    fwd, rev, z_f = _tilde_distributions(scen, cap)
+    scen = build_tilde_scenario(rho0, protocol, partition)
+    fwd = scen.forward
+    rev, z_f = _reverse_distribution(scen)
     w_eps, cut = epsilon_guaranteed_work(fwd, eps)
     retained = float(fwd.probs[fwd.works <= w_eps + fwd.bin_tolerance].sum())
     d_inf = d_infinity(cut, rev)
@@ -329,11 +324,10 @@ def out_of_set_probability(
     protocol: Protocol,
     partition: LevelPartition,
     w_threshold: float,
-    cap: int = 10**7,
 ) -> float:
     """Probability (under the actual protocol and state) that a trajectory
     starts outside the retained levels or exceeds the work threshold."""
-    start, _, work, prob, _, _ = _enumerate_arrays(protocol, rho0, cap=cap)
+    start, work, prob = _forward(protocol, rho0)
     in_mask = np.isin(start, partition.in_indices())
     bad = (~in_mask) | (work > w_threshold + 1e-9)
     return float(prob[bad].sum())

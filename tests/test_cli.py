@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from wcwork import engine
 from wcwork.cli import load_config, main
 
 
@@ -97,7 +99,25 @@ class TestEnumerate:
         assert main(["--config", path]) == 0
         assert target.read_text().startswith("w,p\n")
 
-    def test_resource_limit_exit_code(self, tmp_path, capsys):
+    def test_resource_limit_exit_code(self, tmp_path, capsys, monkeypatch):
+        # level changes to unrelated energies between thermalizations: works
+        # never recur, and live entries pass the lowered cap
+        monkeypatch.setattr(engine, "LIVE_ENTRY_CAP", 1000)
+        rng = np.random.default_rng(11)
+        jump = np.full((3, 3), 1.0 / 3).tolist()
+        steps = []
+        for _ in range(3):
+            steps.append({"type": "change", "levels": rng.normal(size=3).tolist(),
+                          "jump": jump})
+            steps.append({"type": "thermalize", "full": True})
+        doc = {"mode": "enumerate", "levels": [0.0, 0.0, 0.0],
+               "rho0": [0.4, 0.3, 0.3], "steps": steps}
+        path = write_config(tmp_path, doc)
+        assert main(["--config", path]) == 3
+        assert "resource-limit" in capsys.readouterr().err
+
+    def test_many_paths_with_recurring_works(self, tmp_path, capsys):
+        # 4^14 paths, once past the path-count cap: all works are 0
         doc = {
             "mode": "enumerate",
             "energy_units": "kT",
@@ -106,8 +126,8 @@ class TestEnumerate:
             "steps": [{"type": "thermalize", "full": True}] * 13,
         }
         path = write_config(tmp_path, doc)
-        assert main(["--config", path]) == 3
-        assert "resource-limit" in capsys.readouterr().err
+        assert main(["--config", path]) == 0
+        assert capsys.readouterr().out == "w,p\n0,1\n"
 
 
 class TestEquality:
@@ -260,6 +280,24 @@ class TestEboxModes:
         assert [(float(s), float(e)) for s, e in rows] == [
             (0.5, 0.1), (0.5, 0.5), (0.25, 0.1), (0.25, 0.5)
         ]
+
+    def test_sweep_needs_no_ramp(self, tmp_path, capsys):
+        doc = {
+            "mode": "ebox-sweep",
+            "gamma0": 1.0,
+            "eps_c": 1.0,
+            "durations": [2.0, 4.0],
+            "eps": 0.5,
+            "eps_max": 4.0,
+            "n_traj": 200,
+            "n_steps": 200,
+            "seed": 3,
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["--config", path]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "speed,eps,w_eps,stderr"
+        assert [float(ln.split(",")[0]) for ln in lines[1:]] == [0.5, 0.25]
 
     def test_bad_ramp_shape(self, tmp_path, capsys):
         doc = self.ebox_base()

@@ -241,6 +241,14 @@ class TestCharacteristicFunction:
         z_ratio = (1 + math.exp(-beta * 2.0)) / (1 + math.exp(-beta * 0.0))
         assert z == pytest.approx(z_ratio, rel=1e-8)
 
+    def test_exponential_average_identity_on_kinked_ramp(self):
+        # each linear piece is integrated with its own slope: RK4 keeps its
+        # order across the breakpoint of the up-down ramp
+        params = EboxParams(gamma0=0.1, eps_c=1.0, beta=1.0)
+        z = characteristic_function(-1.0, szilard_ramp(5.0, 1.0),
+                                    np.array([0.5, 0.5]), 400, params)
+        assert z == pytest.approx(1.0, abs=1e-9)
+
     def test_constant_ramp_mean_zero(self):
         m, _ = mean_work(constant_ramp(1.0, 2.0), np.array([0.5, 0.5]), 200, PARAMS)
         assert m == pytest.approx(0.0, abs=1e-8)
@@ -290,6 +298,11 @@ class TestQuantiles:
         assert err >= 0.0
         with pytest.raises(InvalidInputError):
             extracted_work_quantile(s, 0.0)
+
+    def test_extracted_quantile_of_zero_work_is_positive_zero(self):
+        g, err = extracted_work_quantile(np.array([0.0, 0.0, 0.0, -1.0]), 0.5)
+        assert g == 0.0 and math.copysign(1.0, g) == 1.0
+        assert math.copysign(1.0, err) == 1.0
 
     def test_markov_check_flags_negative_support(self):
         ok, bound, measured = markov_bound_check(np.array([-0.1, 1.0]), 0.2, 1.0, 0.0)

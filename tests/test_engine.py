@@ -1,12 +1,15 @@
-"""Tests for exact trajectory enumeration and work-distribution utilities."""
+"""Tests for the exact work recursion and work-distribution utilities."""
 
-import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcwork import (
     DiagonalState,
+    EboxParams,
     EnergyLandscape,
     HamiltonianChange,
     InvalidInputError,
@@ -17,17 +20,19 @@ from wcwork import (
     WorkDistribution,
     bin_works,
     crooks_residual,
-    enumerate_trajectories,
+    engine,
     epsilon_guaranteed_work,
     jarzynski_sum,
+    linear_ramp,
     make_thermal_state,
     partial_swap_hop_matrix,
     reverse_protocol,
-    trajectory_work,
+    swap_probability,
     variation_distance,
     work_distribution,
     worst_case_work,
 )
+from tests_support import enumerate_paths, oracle_atoms, random_protocol, trajectory_work
 
 
 def lift_protocol(delta=1.0, beta=1.0, p_swap=1.0):
@@ -44,23 +49,27 @@ def lift_protocol(delta=1.0, beta=1.0, p_swap=1.0):
     )
 
 
-def random_protocol(rng, d, n_steps, beta):
-    e0 = rng.normal(size=d)
-    land = EnergyLandscape(e0)
+def never_recurring_protocol(d, n_changes):
+    """Level changes to unrelated energies with dense jumps, each followed by
+    a partial thermalization, so that works never recur and live entries
+    grow with every step."""
+    rng = np.random.default_rng(11)
+    jump = np.full((d, d), 1.0 / d)
     steps = []
-    current = land
-    for _ in range(n_steps):
-        if rng.random() < 0.5:
-            target = EnergyLandscape(rng.normal(size=d))
-            jump = np.zeros((d, d))
-            for weight in rng.dirichlet(np.ones(5)):
-                jump += weight * np.eye(d)[rng.permutation(d)]
-            steps.append(HamiltonianChange(target=target, jump=jump))
-            current = target
-        else:
-            hop = partial_swap_hop_matrix(current, beta, rng.random())
-            steps.append(Thermalization(hop=hop))
-    return Protocol(initial=land, beta=beta, steps=tuple(steps))
+    for _ in range(n_changes):
+        land = EnergyLandscape(rng.normal(size=d))
+        steps.append(HamiltonianChange(target=land, jump=jump))
+        steps.append(Thermalization(hop=partial_swap_hop_matrix(land, 1.0, 0.5)))
+    return Protocol(initial=EnergyLandscape(np.zeros(d)), beta=1.0,
+                    steps=tuple(steps))
+
+
+def assert_matches_oracle(prot, rho0, restrict_start=None):
+    got = work_distribution(prot, rho0, restrict_start=restrict_start).atoms
+    want = np.array(oracle_atoms(prot, rho0, restrict_start=restrict_start))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-9
+    assert np.max(np.abs(got[:, 1] - want[:, 1])) <= 1e-12
 
 
 class TestEnumeration:
@@ -71,27 +80,92 @@ class TestEnumeration:
                                    int(rng.integers(1, 5)),
                                    float(rng.uniform(0.5, 2.0)))
             rho0 = DiagonalState(rng.dirichlet(np.ones(prot.d)))
-            trajs = enumerate_trajectories(prot, rho0)
-            assert sum(t.probability for t in trajs) == pytest.approx(1.0,
-                                                                      abs=1e-12)
+            dist = work_distribution(prot, rho0)
+            assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_work_matches_manual(self):
         prot = lift_protocol(delta=2.0)
         rho0 = DiagonalState(np.array([0.25, 0.75]))
-        trajs = enumerate_trajectories(prot, rho0)
-        for t in trajs:
-            expect = 2.0 if t.nodes[1] == 1 else 0.0
-            assert t.work == pytest.approx(expect)
-            assert trajectory_work(prot, t.nodes) == pytest.approx(t.work)
+        nodes, works, _ = enumerate_paths(prot, rho0)
+        for path, w in zip(nodes, works):
+            expect = 2.0 if path[1] == 1 else 0.0
+            assert w == pytest.approx(expect)
+            assert trajectory_work(prot, path) == pytest.approx(w)
+        dist = work_distribution(prot, rho0)
+        np.testing.assert_allclose(dist.atoms, [[0.0, 0.25], [2.0, 0.75]],
+                                   rtol=0, atol=1e-15)
 
-    def test_resource_cap(self):
+    def test_resource_cap(self, monkeypatch):
+        # three levels: 441 live entries x 3 > 1000 before the sixth step
+        monkeypatch.setattr(engine, "LIVE_ENTRY_CAP", 1000)
+        rho0 = DiagonalState(np.full(3, 1 / 3))
+        with pytest.raises(ResourceLimitError):
+            work_distribution(never_recurring_protocol(3, 3), rho0)
+        assert len(work_distribution(never_recurring_protocol(3, 2), rho0).atoms) == 21
+
+    def test_recurring_works_stay_small(self):
+        # 4^14 paths, all of work 0: the recursion keeps 16 live entries
         land = EnergyLandscape(np.zeros(4))
         hop = partial_swap_hop_matrix(land, 1.0, 0.5)
         steps = tuple(Thermalization(hop=hop) for _ in range(13))
         prot = Protocol(initial=land, beta=1.0, steps=steps)
-        rho0 = DiagonalState(np.full(4, 0.25))
-        with pytest.raises(ResourceLimitError):
-            enumerate_trajectories(prot, rho0)
+        dist = work_distribution(prot, DiagonalState(np.full(4, 0.25)))
+        assert dist.atoms.tolist() == [[0.0, pytest.approx(1.0, abs=1e-15)]]
+
+
+class TestRecursionMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4),
+           n_steps=st.integers(1, 6), gibbs=st.booleans())
+    def test_drawn_protocols(self, seed, d, n_steps, gibbs):
+        rng = np.random.default_rng(seed)
+        prot = random_protocol(rng, d, n_steps, float(rng.uniform(0.5, 2.0)))
+        if gibbs:
+            rho0, _ = make_thermal_state(prot.initial, prot.beta)
+        else:
+            rho0 = DiagonalState(rng.dirichlet(np.ones(d)))
+        assert_matches_oracle(prot, rho0)
+        in_set = rng.permutation(d)[: int(rng.integers(1, d + 1))]
+        assert_matches_oracle(prot, rho0, restrict_start=in_set)
+
+    @pytest.mark.parametrize("seed,max_steps", [(2024, 7), (31, 5), (41, 5)])
+    def test_acceptance_shapes(self, seed, max_steps):
+        # the protocol generators of acceptance criteria 2, 3 and 4
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            d = int(rng.integers(2, 5))
+            prot = random_protocol(rng, d, int(rng.integers(1, max_steps)), 1.0)
+            gamma0, _ = make_thermal_state(prot.initial, prot.beta)
+            assert_matches_oracle(prot, gamma0)
+            assert_matches_oracle(prot, DiagonalState(rng.dirichlet(np.ones(d))))
+            gamma_f, _ = make_thermal_state(prot.final_landscape, prot.beta)
+            assert_matches_oracle(reverse_protocol(prot), gamma_f)
+
+    def test_electron_box_partial_swap_chain(self):
+        # 400 ramp steps, each a partial swap then a level change: 800 steps,
+        # 2^801 paths, and one atom per count of excited-level steps
+        params = EboxParams(gamma0=1.0, eps_c=1.0, beta=1.0)
+        ramp = linear_ramp(8.0, 0.0, 48.0)
+        n = 400
+        dt = ramp.tau / n
+        eps = ramp(np.linspace(0.0, ramp.tau, n + 1))
+        lands = [EnergyLandscape(np.array([0.0, e])) for e in eps]
+        steps = []
+        for k in range(n):
+            p_swap = swap_probability(eps[k], dt, params)
+            steps.append(Thermalization(
+                hop=partial_swap_hop_matrix(lands[k], 1.0, p_swap)))
+            steps.append(HamiltonianChange(target=lands[k + 1], jump=np.eye(2)))
+        prot = Protocol(initial=lands[0], beta=1.0, steps=tuple(steps))
+        t0 = time.perf_counter()
+        gamma0, z0 = make_thermal_state(prot.initial, 1.0)
+        gamma_f, zf = make_thermal_state(prot.final_landscape, 1.0)
+        fwd = work_distribution(prot, gamma0)
+        rev = work_distribution(reverse_protocol(prot), gamma_f)
+        assert len(fwd.atoms) == len(rev.atoms) == n + 1
+        assert crooks_residual(fwd, rev, z0, zf, 1.0) < 1e-12
+        assert abs(jarzynski_sum(fwd, 1.0) - zf / z0) < 1e-12
+        assert time.perf_counter() - t0 < 5.0
 
 
 class TestBinning:
@@ -125,6 +199,19 @@ class TestWorkDistribution:
         assert dist.prob_at(3.0) == pytest.approx(1.0)
 
 
+    def test_lookup_within_tolerance(self):
+        dist = WorkDistribution(atoms=((0.0, 0.25), (1.0, 0.75)))
+        got = dist.probs_at([1.0 + 5e-10, -5e-10, 0.5, 2.0, -1.0])
+        np.testing.assert_array_equal(got[:2], [0.75, 0.25])
+        assert np.isnan(got[2:]).all()
+        assert dist.prob_at(1.0) == 0.75
+        assert dist.prob_at(0.5) is None
+
+    def test_unsorted_atoms_rejected(self):
+        with pytest.raises(InvalidInputError):
+            WorkDistribution(atoms=((1.0, 0.5), (0.0, 0.5)))
+
+
 class TestWorstCase:
     def test_worst_case_is_support_max(self):
         dist = WorkDistribution(atoms=((0.0, 0.5), (2.0, 0.5)))
@@ -147,13 +234,13 @@ class TestEpsilonGuaranteed:
         dist = WorkDistribution(atoms=((0.0, 0.9), (1.0, 0.1)))
         w_eps, cut = epsilon_guaranteed_work(dist, 0.0)
         assert w_eps == worst_case_work(dist)
-        assert cut.atoms == dist.atoms
+        assert np.array_equal(cut.atoms, dist.atoms)
 
     def test_cut_removes_tail_atom(self):
         dist = WorkDistribution(atoms=((0.0, 0.9), (1.0, 0.1)))
         w_eps, cut = epsilon_guaranteed_work(dist, 0.1)
         assert w_eps == 0.0
-        assert cut.atoms == ((0.0, 1.0),)
+        assert cut.atoms.tolist() == [[0.0, 1.0]]
 
     def test_eps_out_of_range(self):
         dist = WorkDistribution(atoms=((0.0, 1.0),))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wcwork import engine, singleshot
 from wcwork import (
     DiagonalState,
     EnergyLandscape,
@@ -168,6 +169,42 @@ class TestTildeScenario:
         part = LevelPartition(in_set=frozenset({0}), d=2)
         scen = build_tilde_scenario(rho0, prot, part)
         assert not scen.mild_assumption_ok
+
+
+class TestForwardPasses:
+    """Each report runs the exact recursion once per protocol it needs: the
+    tilde scenario's forward pass serves both the mild-assumption check and
+    D_inf."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        forward = engine._forward
+
+        def counting(*args):
+            counted.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(engine, "_forward", counting)
+        monkeypatch.setattr(singleshot, "_forward", counting)
+        return counted
+
+    def case(self):
+        prot = degenerate_thermalize_protocol(p_swap=0.5)
+        rho0 = DiagonalState(np.array([0.7, 0.3]))
+        return rho0, prot, LevelPartition(in_set=frozenset({0}), d=2)
+
+    def test_build_tilde_scenario(self, calls):
+        build_tilde_scenario(*self.case())
+        assert len(calls) == 1
+
+    def test_main_equality_report(self, calls):
+        main_equality_report(*self.case())
+        assert len(calls) == 3
+
+    def test_work_tail_equality_report(self, calls):
+        work_tail_equality_report(*self.case(), 0.1)
+        assert len(calls) == 2
 
 
 class TestMainEquality:
