@@ -10,8 +10,9 @@ application.
 from .ebox import (
     CrooksCheck,
     EboxParams,
-    EmpiricalWorkDistribution,
     Ramp,
+    SeriesWorkDistribution,
+    WorkSamples,
     analytic_work_distribution,
     characteristic_function,
     constant_ramp,
@@ -30,7 +31,6 @@ from .ebox import (
     szilard_ramp,
     szilard_sweep,
     tunneling_rate,
-    two_level_relaxation_probs,
 )
 from .engine import (
     WorkDistribution,
@@ -80,4 +80,4 @@ from .singleshot import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.1.0"
+__version__ = "1.2.0"

@@ -43,7 +43,7 @@ _KNOWN_KEYS = {
     "mode", "beta", "energy_units", "levels", "rho0", "steps", "in_levels",
     "eps", "bin_tolerance", "gamma0", "eps_c", "ramp", "n_traj", "n_steps",
     "seed", "j_max", "w_grid", "durations", "eps_max", "xi_values", "n_bins",
-    "out", "format",
+    "out",
 }
 
 
@@ -169,12 +169,15 @@ def _csv_lines(header, rows):
 
 
 def _run(cfg: RunConfig, seed: int, extracted: bool) -> str:
-    sign = -1.0 if extracted else 1.0
+    def signed(w):
+        # 0.0 - w, unlike -w, maps a zero work to +0.0
+        return 0.0 - w if extracted else w
+
     if cfg.mode == "enumerate":
         protocol, rho0 = _build_protocol(cfg)
         dist = engine.work_distribution(
             protocol, rho0, bin_tolerance=float(cfg.get("bin_tolerance", 1e-9)))
-        return _csv_lines("w,p", [(sign * w, p) for w, p in dist.atoms.tolist()])
+        return _csv_lines("w,p", [(signed(w), p) for w, p in dist.atoms.tolist()])
 
     if cfg.mode == "equality":
         protocol, rho0 = _build_protocol(cfg)
@@ -188,7 +191,7 @@ def _run(cfg: RunConfig, seed: int, extracted: bool) -> str:
             rep = singleshot.work_tail_equality_report(
                 rho0, protocol, partition, eps)
         doc = {
-            "w0_in": sign * rep.w0_in,
+            "w0_in": signed(rep.w0_in),
             "d_infinity": rep.d_infinity_term,
             "optimum": rep.optimum_term,
             "log1meps": rep.log1meps_term,
@@ -236,9 +239,9 @@ def _run(cfg: RunConfig, seed: int, extracted: bool) -> str:
             seed, params)
         if dist.samples.min() == dist.samples.max():
             # degenerate sample set (e.g. decoupled bath): emit the atom
-            return _csv_lines("w,p", [(sign * dist.samples[0], 1.0)])
+            return _csv_lines("w,p", [(signed(dist.samples[0]), 1.0)])
         n_bins = int(cfg.get("n_bins", 60))
-        counts, edges = np.histogram(sign * dist.samples, bins=n_bins)
+        counts, edges = np.histogram(signed(dist.samples), bins=n_bins)
         widths = np.diff(edges)
         rows = [(edges[i], edges[i + 1], counts[i] / (dist.n * widths[i]))
                 for i in range(n_bins)]
@@ -250,23 +253,20 @@ def _run(cfg: RunConfig, seed: int, extracted: bool) -> str:
             ramp, int(cfg.get("j_max", 3)), w_grid, rho0, params)
         # Atoms are emitted as zero-width rows whose 'density' column holds
         # the point mass itself.
-        rows = [(sign * w, sign * w, p) for w, p in dist.atoms]
+        rows = [(signed(w), signed(w), p) for w, p in dist.atoms]
         widths = np.diff(dist.bin_edges)
         for i, m in enumerate(dist.bin_masses):
             lo, hi = dist.bin_edges[i], dist.bin_edges[i + 1]
             if extracted:
-                lo, hi = -hi, -lo
+                lo, hi = signed(hi), signed(lo)
             rows.append((lo, hi, m / widths[i]))
         return _csv_lines("w_lo,w_hi,density", rows)
 
     if cfg.mode == "ebox-charfn":
-        n_steps = int(cfg.get("n_steps", 2000))
-        rows = [
-            (xi, ebox.characteristic_function(float(xi), ramp, rho0,
-                                              n_steps, params))
-            for xi in cfg.require("xi_values")
-        ]
-        return _csv_lines("xi,z", rows)
+        xi_values = list(cfg.require("xi_values"))
+        z = ebox.characteristic_function(
+            xi_values, ramp, rho0, int(cfg.get("n_steps", 2000)), params)
+        return _csv_lines("xi,z", zip(xi_values, z))
 
     raise InvalidInputError(f"unhandled mode {cfg.mode}")  # pragma: no cover
 
@@ -285,12 +285,10 @@ def main(argv=None) -> int:
                              "never depend on it")
     parser.add_argument("--extracted", action="store_true",
                         help="report extracted work (-w) instead of work cost")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="override the mode's native output format")
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config, {"out": args.out, "format": args.format})
+        cfg = load_config(args.config, {"out": args.out})
         if args.threads < 1:
             raise InvalidInputError("--threads must be >= 1")
         seed = args.seed

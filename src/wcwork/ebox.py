@@ -21,6 +21,7 @@ from .errors import (
     NumericError,
     StepSizeError,
 )
+from .singleshot import markov_d_infinity_bound
 
 DEFAULT_SEED = 20177
 _JUMP_GRID_DEFAULTS = {1: 200, 2: 80, 3: 40}
@@ -72,14 +73,6 @@ class Ramp:
     def __call__(self, t):
         return np.interp(t, self.times, self.values)
 
-    def slope(self, t):
-        """d eps/dt, taking the right-hand slope at breakpoints."""
-        idx = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0,
-                      self.times.size - 2)
-        dt = np.diff(self.times)
-        dv = np.diff(self.values)
-        return (dv / dt)[idx]
-
     def reversed(self) -> "Ramp":
         return Ramp(times=self.tau - self.times[::-1], values=self.values[::-1])
 
@@ -121,7 +114,8 @@ def tunneling_rate(eps, params: EboxParams):
     eps = np.asarray(eps, dtype=float)
     x = params.beta * eps
     small = np.abs(x) < 1e-8
-    denom = np.where(small, 1.0, np.expm1(np.where(small, 1.0, x)))
+    with np.errstate(over="ignore"):  # expm1 -> inf gives the exact limit 0
+        denom = np.where(small, 1.0, np.expm1(np.where(small, 1.0, x)))
     ratio = np.where(small, 1.0 - x / 2.0 + x * x / 12.0, x / denom)
     out = (params.gamma0 / (params.beta * params.eps_c)) * ratio
     return out if out.ndim else float(out)
@@ -151,21 +145,9 @@ def swap_probability(eps, dt: float, params: EboxParams):
 def gibbs_occupations(eps, beta: float):
     """(p0, p1) of the instantaneous Gibbs state at splitting eps."""
     eps = np.asarray(eps, dtype=float)
-    p1 = 1.0 / (1.0 + np.exp(beta * eps))
+    with np.errstate(over="ignore"):  # exp -> inf gives the exact limit p1 = 0
+        p1 = 1.0 / (1.0 + np.exp(beta * eps))
     return 1.0 - p1, p1
-
-
-def _rk4(f, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    y = np.empty((grid.size,) + np.shape(y0))
-    y[0] = y0
-    for k in range(grid.size - 1):
-        t, h = grid[k], grid[k + 1] - grid[k]
-        k1 = f(t, y[k])
-        k2 = f(t + h / 2, y[k] + h / 2 * k1)
-        k3 = f(t + h / 2, y[k] + h / 2 * k2)
-        k4 = f(t + h, y[k] + h * k3)
-        y[k + 1] = y[k] + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
 
 
 def _initial_pair(rho0) -> np.ndarray:
@@ -175,22 +157,53 @@ def _initial_pair(rho0) -> np.ndarray:
     return p
 
 
+def _rk4_steps(ramp: Ramp, grid: np.ndarray, params: EboxParams) -> list:
+    """Per-step inputs of the tilted RK4 on ``grid``: the step, the slope of
+    the ramp piece the step lies in (``grid`` holds the breakpoints, so no
+    stage takes the slope of a neighbouring piece), and Gamma(+eps) and
+    Gamma(-eps) at its start, midpoint and end, all evaluated once."""
+    t, h = grid[:-1], np.diff(grid)
+    e = ramp(np.concatenate([t, t + h / 2, t + h]))
+    rates = tunneling_rate(np.concatenate([e, -e]), params).reshape(6, -1)
+    piece = np.searchsorted(ramp.times, t, side="right") - 1
+    slope = (np.diff(ramp.values) / np.diff(ramp.times))[piece]
+    return list(zip(h.tolist(), slope.tolist(), *rates.tolist()))
+
+
+def _tilted_rk4(steps: list, start: list, xi: float) -> list:
+    """RK4 for phi' = M(t) phi + xi * deps/dt * diag(0, 1) phi from
+    phi(0) = start, with the accumulator w' = deps/dt * phi_1, over the
+    ``_rk4_steps`` schedule.  Returns (phi_0, phi_1, w) at every node."""
+
+    def f(p0, p1, gp, gm):  # at the current step's slope s and xs = xi * s
+        dot0 = gm * p1 - gp * p0
+        return dot0, xs * p1 - dot0, s * p1
+
+    p0, p1, w = start[0], start[1], 0.0
+    nodes = [(p0, p1, w)]
+    for h, s, gp0, gph, gp1, gm0, gmh, gm1 in steps:
+        xs = xi * s
+        k1 = f(p0, p1, gp0, gm0)
+        k2 = f(p0 + h / 2 * k1[0], p1 + h / 2 * k1[1], gph, gmh)
+        k3 = f(p0 + h / 2 * k2[0], p1 + h / 2 * k2[1], gph, gmh)
+        k4 = f(p0 + h * k3[0], p1 + h * k3[1], gp1, gm1)
+        p0, p1, w = (y + h / 6 * (a + 2 * b + 2 * c + d)
+                     for y, a, b, c, d in zip((p0, p1, w), k1, k2, k3, k4))
+        nodes.append((p0, p1, w))
+    return nodes
+
+
 def integrate_master(ramp: Ramp, p0, n_steps: int, params: EboxParams):
-    """Solve p0' = -Gamma(+eps) p0 + Gamma(-eps) p1 along the ramp.
+    """Solve p0' = -Gamma(+eps) p0 + Gamma(-eps) p1 along the ramp: the
+    untilted (xi = 0) run of the tilted RK4.
 
-    Returns (times, occupations) with occupations[:, 0] + occupations[:, 1] = 1
-    enforced exactly at every node.
+    Returns (times, occupations) with occupations[:, 1] = 1 - occupations[:, 0]
+    at every node.
     """
-    start = _initial_pair(p0)
     grid = ramp.time_grid(n_steps)
-
-    def f(t, y):
-        e = ramp(t)
-        gp = tunneling_rate(e, params)
-        gm = tunneling_rate(-e, params)
-        return -gp * y + gm * (1.0 - y)
-
-    p0_series = _rk4(f, np.float64(start[0]), grid)
+    start = _initial_pair(p0).tolist()
+    nodes = _tilted_rk4(_rk4_steps(ramp, grid, params), start, 0.0)
+    p0_series = np.array(nodes)[:, 0]
     if np.any(p0_series < -1e-9) or np.any(p0_series > 1 + 1e-9):
         raise StepSizeError("occupation left [0, 1]; reduce the step size")
     p0_series = np.clip(p0_series, 0.0, 1.0)
@@ -207,65 +220,62 @@ def constant_relaxation_p0(eps: float, t, p0_initial: float, params: EboxParams)
     return p0_initial * decay + p_th * (1.0 - decay)
 
 
-def two_level_relaxation_probs(
-    omega: float, dt: float, gamma: float, dos: float, beta: float
-) -> np.ndarray:
-    """Column-stochastic relaxation matrix over a time interval dt for a
-    two-level system with splitting omega, bath density-of-states factor dos
-    and base rate gamma; decay rate 2 dos coth(beta omega / 2) gamma."""
-    if min(omega, dt, gamma, dos, beta) < 0:
-        raise InvalidInputError("inputs must be nonnegative")
-    rate = 2.0 * dos * (1.0 / math.tanh(beta * omega / 2.0)) * gamma
-    p_th = 1.0 / (math.exp(-beta * omega) + 1.0)
-    decay = math.exp(-rate * dt)
-    p00 = decay + p_th * (1.0 - decay)  # p0(dt) with p0(0) = 1
-    p10 = p_th * (1.0 - decay)  # p0(dt) with p0(0) = 0
-    return np.array([[p00, p10], [1.0 - p00, 1.0 - p10]])
+def _swap_schedule(ramp: Ramp, n_steps: int, params: EboxParams):
+    """The partial-swap chain's uniform grid, with the swap probability and
+    the Gibbs excited occupation g1 at every step start, and the splitting
+    increments over the steps."""
+    grid = np.linspace(0.0, ramp.tau, n_steps + 1)
+    eps = ramp(grid)
+    psw = np.asarray(swap_probability(eps[:-1], ramp.tau / n_steps, params))
+    g1 = gibbs_occupations(eps[:-1], params.beta)[1]
+    return grid, psw, g1, np.diff(eps)
 
 
 def partial_swap_chain(ramp: Ramp, p0, n_steps: int, params: EboxParams):
     """Occupations under the discrete chain of partial-swap matrices with a
     uniform step; first-order-in-dt image of the master equation."""
-    start = _initial_pair(p0)
-    grid = np.linspace(0.0, ramp.tau, n_steps + 1)
-    dt = ramp.tau / n_steps
+    p, q = _initial_pair(p0).tolist()
+    grid, psw, g1, _ = _swap_schedule(ramp, n_steps, params)
     occ = np.empty((n_steps + 1, 2))
-    occ[0] = start
-    p = start.copy()
-    for k in range(n_steps):
-        e = float(ramp(grid[k]))
-        psw = swap_probability(e, dt, params)
-        g0, g1 = gibbs_occupations(e, params.beta)
-        p = (1.0 - psw) * p + psw * np.array([g0, g1])
-        occ[k + 1] = p
+    occ[0] = p, q
+    for k, (sw, g) in enumerate(zip(psw.tolist(), g1.tolist()), start=1):
+        p = (1.0 - sw) * p + sw * (1.0 - g)
+        q = (1.0 - sw) * q + sw * g
+        occ[k] = p, q
     return grid, occ
 
 
 @dataclass(frozen=True)
-class EmpiricalWorkDistribution:
-    """Work statistics either as raw Monte Carlo samples or as the atoms and
-    density bins of the jump-expansion series."""
+class WorkSamples:
+    """Monte Carlo work samples, the final level of each trajectory, and the
+    seed and count that reproduce them."""
 
-    samples: np.ndarray = None
-    final_levels: np.ndarray = None
-    atoms: tuple = None
-    bin_edges: np.ndarray = None
-    bin_masses: np.ndarray = None
-    remainder: float = 0.0
-    n: int = None
-    seed: int = None
+    samples: np.ndarray
+    final_levels: np.ndarray
+    seed: int
+    n: int
 
     def mean(self) -> float:
-        if self.samples is not None:
-            return float(self.samples.mean())
+        return float(self.samples.mean())
+
+
+@dataclass(frozen=True)
+class SeriesWorkDistribution:
+    """The jump-expansion series: (w, p) atoms, density-bin masses on
+    ``bin_edges``, and the mass the series did not capture."""
+
+    atoms: tuple
+    bin_edges: np.ndarray
+    bin_masses: np.ndarray
+    remainder: float
+
+    def mean(self) -> float:
         w_at = np.array([w for w, _ in self.atoms])
         p_at = np.array([p for _, p in self.atoms])
         centers = 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
         return float(np.dot(w_at, p_at) + np.dot(centers, self.bin_masses))
 
     def total_mass(self) -> float:
-        if self.samples is not None:
-            return 1.0
         return float(sum(p for _, p in self.atoms) + self.bin_masses.sum())
 
 
@@ -277,7 +287,7 @@ def monte_carlo_work(
     seed: int,
     params: EboxParams,
     chunk_size: int = 4096,
-) -> EmpiricalWorkDistribution:
+) -> WorkSamples:
     """Sample trajectories with the partial-swap update.
 
     Per step: with probability p_sw(t) the level is resampled from the
@@ -289,12 +299,7 @@ def monte_carlo_work(
     if n_traj < 1 or n_steps < 1:
         raise InvalidInputError("n_traj and n_steps must be >= 1")
     start = _initial_pair(rho0)
-    t_edges = np.linspace(0.0, ramp.tau, n_steps + 1)
-    eps_nodes = ramp(t_edges)
-    dt = ramp.tau / n_steps
-    psw = np.asarray(swap_probability(eps_nodes[:-1], dt, params))  # checks <= 1
-    g1 = gibbs_occupations(eps_nodes[:-1], params.beta)[1]
-    deps = np.diff(eps_nodes)
+    _, psw, g1, deps = _swap_schedule(ramp, n_steps, params)
 
     works = np.empty(n_traj)
     finals = np.empty(n_traj, dtype=np.int8)
@@ -327,9 +332,7 @@ def monte_carlo_work(
         finals[lo:hi] = state[:, -1]
         lo = hi
 
-    return EmpiricalWorkDistribution(
-        samples=works, final_levels=finals, n=n_traj, seed=seed
-    )
+    return WorkSamples(samples=works, final_levels=finals, seed=seed, n=n_traj)
 
 
 def _cumulative_rate_integrals(ramp: Ramp, params: EboxParams, n_fine: int = 4001):
@@ -354,7 +357,7 @@ def analytic_work_distribution(
     params: EboxParams,
     grid_sizes: dict = None,
     remainder_tol: float = 0.05,
-) -> EmpiricalWorkDistribution:
+) -> SeriesWorkDistribution:
     """Jump-expansion series for the work distribution.
 
     Atoms at W = 0 and W = eps_f - eps_0 carry the no-jump weights
@@ -439,7 +442,7 @@ def analytic_work_distribution(
             f"series remainder {remainder:.4g} exceeds {remainder_tol}; "
             "increase j_max or use the characteristic function"
         )
-    return EmpiricalWorkDistribution(
+    return SeriesWorkDistribution(
         atoms=atom_list,
         bin_edges=w_grid,
         bin_masses=bin_masses,
@@ -447,41 +450,40 @@ def analytic_work_distribution(
     )
 
 
+def _tilted_end(xi, ramp: Ramp, rho0, n_steps: int, params: EboxParams):
+    """Z = phi_0 + phi_1 and the accumulator w at tau for the tilts ``xi``
+    (one value or a 1-D sequence); every tilt is stepped over the one rate
+    schedule."""
+    xis = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xis.ndim != 1 or not np.all(np.isfinite(xis)):
+        raise InvalidInputError("xi must be finite: one value or a 1-D sequence")
+    start = _initial_pair(rho0).tolist()
+    grid = ramp.time_grid(max(n_steps, 4))
+    steps = _rk4_steps(ramp, grid, params)
+    end = np.array([_tilted_rk4(steps, start, x)[-1] for x in xis.tolist()])
+    phi0, phi1, w = end.reshape(-1, 3).T
+    z = phi0 + phi1
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise NumericError(
+            f"characteristic function diverged at xi={float(xis[bad][0])} "
+            f"with {grid.size - 1} steps"
+        )
+    return z, w
+
+
 def characteristic_function(
-    xi: float, ramp: Ramp, rho0, n_steps: int, params: EboxParams
-) -> float:
+    xi, ramp: Ramp, rho0, n_steps: int, params: EboxParams
+):
     """Z(xi) = <exp(xi w)> via the tilted forward generator.
 
     Integrates phi' = M(t) phi + xi * deps/dt * diag(0, 1) phi from
-    phi(0) = p(0) and returns the sum of the components at tau.  Each linear
-    piece of the ramp is integrated on its own, with its constant slope, so
-    no RK4 stage takes the slope of a neighbouring piece.
+    phi(0) = p(0) and returns the sum of the components at tau.  ``xi`` is
+    one tilt, giving a float, or a 1-D sequence of tilts, giving an array;
+    the rates along the ramp are evaluated once for the whole batch.
     """
-    if not math.isfinite(xi):
-        raise InvalidInputError("xi must be finite")
-    phi = _initial_pair(rho0).astype(float)
-    grid = ramp.time_grid(max(n_steps, 4))
-    # time_grid puts every breakpoint on the grid
-    bounds = np.searchsorted(grid, ramp.times)
-    slopes = (np.diff(ramp.values) / np.diff(ramp.times)).tolist()
-
-    for lo, hi, slope in zip(bounds[:-1], bounds[1:], slopes):
-
-        def f(t, phi, slope=slope):
-            e = ramp(t)
-            gp = tunneling_rate(e, params)
-            gm = tunneling_rate(-e, params)
-            dot0 = -gp * phi[0] + gm * phi[1]
-            dot1 = gp * phi[0] - gm * phi[1] + xi * slope * phi[1]
-            return np.array([dot0, dot1])
-
-        phi = _rk4(f, phi, grid[lo : hi + 1])[-1]
-    z = float(phi.sum())
-    if not math.isfinite(z):
-        raise NumericError(
-            f"characteristic function diverged at xi={xi} with {grid.size - 1} steps"
-        )
-    return z
+    z, _ = _tilted_end(xi, ramp, rho0, n_steps, params)
+    return float(z[0]) if np.ndim(xi) == 0 else z
 
 
 def mean_work(
@@ -491,29 +493,21 @@ def mean_work(
     params: EboxParams,
     lambda_probe: float = None,
 ):
-    """Mean work from the characteristic function's derivative at 0, plus the
-    optional Jensen bound log Z(lambda) / lambda >= mean."""
+    """Mean work <w> = Z'(0), plus the optional Jensen bound
+    log Z(lambda) / lambda >= mean.
 
-    def z(xi):
-        return characteristic_function(xi, ramp, rho0, n_steps, params)
-
-    h = 0.1
-    prev = (z(h) - z(-h)) / (2 * h)
-    for _ in range(40):
-        h /= 2.0
-        cur = (z(h) - z(-h)) / (2 * h)
-        if abs(cur - prev) <= 1e-6:
-            break
-        prev = cur
-    else:
-        raise NumericError("finite-difference mean work did not stabilize")
-    mean = float(cur)
+    The mean is the accumulator w' = deps/dt * phi_1 of the untilted run:
+    the exact derivative at xi = 0 of the same discrete RK4 map that gives Z.
+    ``lambda_probe`` rides in the same batch as one more tilt.
+    """
+    if lambda_probe is not None and lambda_probe == 0:
+        raise InvalidInputError("lambda_probe must be nonzero")
+    xis = [0.0] if lambda_probe is None else [0.0, lambda_probe]
+    z, w = _tilted_end(xis, ramp, rho0, n_steps, params)
     bound = None
     if lambda_probe is not None:
-        if lambda_probe == 0:
-            raise InvalidInputError("lambda_probe must be nonzero")
-        bound = float(math.log(z(lambda_probe)) / lambda_probe)
-    return mean, bound
+        bound = float(math.log(z[1]) / lambda_probe)
+    return float(w[0]), bound
 
 
 @dataclass(frozen=True)
@@ -617,8 +611,6 @@ def markov_bound_check(
     Returns (applicable, bound, measured).  Inapplicable (flagged, not
     bounded) when any sampled work is negative.
     """
-    from .singleshot import markov_d_infinity_bound
-
     samples = np.asarray(samples, dtype=float)
     if samples.min() < 0 or samples.mean() < 0:
         return False, None, None

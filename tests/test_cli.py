@@ -71,6 +71,15 @@ class TestConfigLoading:
         path = write_config(tmp_path, doc)
         assert main(["--config", path]) == 2
 
+    def test_format_flag_and_key_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, degenerate_equality_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", path, "--format", "json"])
+        assert exc.value.code == 2
+        doc = dict(degenerate_equality_config(), format="json")
+        assert main(["--config", write_config(tmp_path, doc)]) == 2
+        assert "unknown config keys: format" in capsys.readouterr().err
+
     def test_round_trip_document(self, tmp_path):
         doc = degenerate_equality_config()
         cfg = load_config(write_config(tmp_path, doc), {})
@@ -92,6 +101,13 @@ class TestEnumerate:
         lines = capsys.readouterr().out.strip().split("\n")
         rows = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
         assert {w for w, _ in rows} == {0.0, -1.0}
+
+    def test_extracted_zero_work_prints_positive_zero(self, tmp_path, capsys):
+        doc = dict(degenerate_equality_config(), mode="enumerate")
+        del doc["in_levels"]
+        path = write_config(tmp_path, doc)
+        assert main(["--config", path, "--extracted"]) == 0
+        assert capsys.readouterr().out == "w,p\n0,1\n"
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "dist.csv"

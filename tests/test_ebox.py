@@ -1,14 +1,18 @@
 """Tests for the driven single-electron box: rates, dynamics, work statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcwork import (
     ConvergenceError,
     EboxParams,
     InvalidInputError,
+    NumericError,
     Ramp,
     StepSizeError,
     analytic_work_distribution,
@@ -29,8 +33,9 @@ from wcwork import (
     szilard_ramp,
     szilard_sweep,
     tunneling_rate,
-    two_level_relaxation_probs,
 )
+
+from tests_support import closure_rk4_z
 
 PARAMS = EboxParams(gamma0=1.0, eps_c=1.0, beta=1.0)
 
@@ -67,6 +72,16 @@ class TestRates:
         with pytest.raises(InvalidInputError):
             swap_probability(0.0, -0.1, PARAMS)
 
+    def test_large_splittings_reach_exact_limits_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g0, g1 = gibbs_occupations(1000.0, 1.0)
+            assert (float(g0), float(g1)) == (1.0, 0.0)
+            assert tunneling_rate(1000.0, PARAMS) == 0.0
+            assert tunneling_rate(-1000.0, PARAMS) == pytest.approx(1000.0)
+            rates = tunneling_rate(np.array([-800.0, 0.0, 800.0]), PARAMS)
+            assert rates[2] == 0.0 and np.all(np.isfinite(rates))
+
     def test_params_validation(self):
         with pytest.raises(InvalidInputError):
             EboxParams(gamma0=1.0, eps_c=0.0, beta=1.0)
@@ -84,10 +99,9 @@ class TestRamps:
         with pytest.raises(InvalidInputError):
             linear_ramp(0.0, 1.0, 0.0)
 
-    def test_interpolation_and_slope(self):
+    def test_interpolation(self):
         r = linear_ramp(0.0, 2.0, 4.0)
         assert r(1.0) == pytest.approx(0.5)
-        assert float(r.slope(3.0)) == pytest.approx(0.5)
 
     def test_reversed(self):
         r = linear_ramp(0.0, 2.0, 4.0)
@@ -133,13 +147,19 @@ class TestMasterEquation:
         with pytest.raises(InvalidInputError):
             integrate_master(constant_ramp(1.0, 1.0), np.array([0.7, 0.7]), 10, PARAMS)
 
-    def test_relaxation_matrix_column_stochastic(self):
-        m = two_level_relaxation_probs(1.0, 0.3, 0.5, 1.0, 1.0)
-        np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-12)
-        assert np.all(m >= 0)
-
 
 class TestPartialSwapChain:
+    def test_matches_step_by_step_chain(self):
+        ramp = szilard_ramp(3.0, 2.0)
+        grid, occ = partial_swap_chain(ramp, np.array([0.8, 0.2]), 100, PARAMS)
+        p = np.array([0.8, 0.2])
+        for k in range(100):
+            e = float(ramp(grid[k]))
+            psw = swap_probability(e, 2.0 / 100, PARAMS)
+            g0, g1 = gibbs_occupations(e, PARAMS.beta)
+            p = (1.0 - psw) * p + psw * np.array([g0, g1])
+            assert occ[k + 1].tolist() == p.tolist()
+
     def test_first_order_convergence(self):
         ramp = constant_ramp(2.0, 5.0)
         exact = constant_relaxation_p0(2.0, 5.0, 1.0, PARAMS)
@@ -266,6 +286,58 @@ class TestCharacteristicFunction:
         with pytest.raises(InvalidInputError):
             mean_work(constant_ramp(1.0, 1.0), np.array([1.0, 0.0]), 50, PARAMS,
                       lambda_probe=0.0)
+
+
+class TestTiltedIntegrator:
+    """One RK4 serves Z(xi) for a batch of tilts and the mean work as the
+    exact tangent at xi = 0."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(0.5, 1.5), min_size=1, max_size=3),
+        values=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        gamma0=st.floats(0.05, 2.0),
+    )
+    def test_jarzynski_on_drawn_ramps(self, gaps, values, gamma0):
+        # <exp(-beta w)> = Z_f / Z_0 from the Gibbs state, on 2-4-knot ramps
+        params = EboxParams(gamma0=gamma0, eps_c=1.0, beta=1.0)
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
+        ramp = Ramp(times=times, values=np.array(values[: times.size]))
+        e0, ef = float(ramp(0.0)), float(ramp(ramp.tau))
+        gibbs0 = np.array(gibbs_occupations(e0, 1.0))
+        z = characteristic_function(-1.0, ramp, gibbs0, 2000, params)
+        z_ratio = (1 + math.exp(-ef)) / (1 + math.exp(-e0))
+        assert z == pytest.approx(z_ratio, rel=1e-8)
+
+    def test_batch_equals_single_tilts_bit_for_bit(self):
+        ramp = Ramp(times=np.array([0.0, 0.4, 1.0, 1.7]),
+                    values=np.array([1.0, -2.0, 3.0, 0.5]))
+        rho0 = np.array([0.3, 0.7])
+        xis = [-1.5, -1.0, 0.0, 0.3, 2.0]
+        batch = characteristic_function(xis, ramp, rho0, 300, PARAMS)
+        assert isinstance(batch, np.ndarray) and batch.shape == (5,)
+        single = [characteristic_function(x, ramp, rho0, 300, PARAMS) for x in xis]
+        assert all(isinstance(z, float) for z in single)
+        assert batch.tolist() == single
+        # and both equal the stage-by-stage closure RK4
+        assert single == [closure_rk4_z(x, ramp, rho0, 300, PARAMS) for x in xis]
+
+    def test_mean_work_is_the_tangent_of_the_batched_z(self):
+        params = EboxParams(gamma0=0.1, eps_c=1.0, beta=1.0)
+        ramp, rho0 = szilard_ramp(5.0, 1.0), np.array([0.5, 0.5])
+        z = characteristic_function([-1e-4, 0.0, 1e-4], ramp, rho0, 2000, params)
+        m, _ = mean_work(ramp, rho0, 2000, params)
+        assert z[1] == pytest.approx(1.0, abs=1e-12)
+        assert m == pytest.approx((z[2] - z[0]) / 2e-4, abs=1e-7)
+
+    def test_tilt_validation_and_divergence(self):
+        ramp, rho0 = linear_ramp(0.0, 2.0, 1.0), np.array([1.0, 0.0])
+        for bad in (math.inf, [0.0, math.nan], [[0.0]]):
+            with pytest.raises(InvalidInputError):
+                characteristic_function(bad, ramp, rho0, 50, PARAMS)
+        steep = linear_ramp(0.0, 1e6, 1.0)
+        with pytest.raises(NumericError, match=r"xi=1e\+100 "):
+            characteristic_function([0.0, 1e100], steep, rho0, 4, PARAMS)
 
 
 class TestCrooksCheck:

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite, and the path-walk oracle.
+"""Shared helpers for the test suite, the path-walk oracle, and the
+stage-by-stage RK4 reference for the electron box.
 
 The oracle expands every positive-probability trajectory of a protocol and
 bins the path works in a per-atom loop.  It grows as d^(steps+1), so it only
@@ -14,6 +15,7 @@ from wcwork import (
     Protocol,
     Thermalization,
     partial_swap_hop_matrix,
+    tunneling_rate,
 )
 
 
@@ -83,3 +85,30 @@ def oracle_atoms(protocol, rho0, bin_tolerance=1e-9, restrict_start=None):
     cuts = np.flatnonzero(np.diff(w) > bin_tolerance) + 1
     return [(float(np.dot(sw, sp) / sp.sum()), float(sp.sum()))
             for sw, sp in zip(np.split(w, cuts), np.split(p, cuts))]
+
+
+def closure_rk4_z(xi, ramp, rho0, n_steps, params):
+    """Z(xi) from a per-piece RK4 whose right-hand side evaluates the ramp and
+    the rates at every stage: the reference the electron-box integrator,
+    which evaluates them once per call, must match bit for bit."""
+    phi = np.array(rho0, dtype=float)
+    grid = ramp.time_grid(max(n_steps, 4))
+    bounds = np.searchsorted(grid, ramp.times)
+    slopes = (np.diff(ramp.values) / np.diff(ramp.times)).tolist()
+    for lo, hi, slope in zip(bounds[:-1], bounds[1:], slopes):
+
+        def f(t, phi, slope=slope):
+            e = ramp(t)
+            gp = tunneling_rate(e, params)
+            gm = tunneling_rate(-e, params)
+            return np.array([-gp * phi[0] + gm * phi[1],
+                             gp * phi[0] - gm * phi[1] + xi * slope * phi[1]])
+
+        for k in range(lo, hi):
+            t, h = grid[k], grid[k + 1] - grid[k]
+            k1 = f(t, phi)
+            k2 = f(t + h / 2, phi + h / 2 * k1)
+            k3 = f(t + h / 2, phi + h / 2 * k2)
+            k4 = f(t + h, phi + h * k3)
+            phi = phi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return float(phi.sum())
