@@ -80,4 +80,4 @@ from .singleshot import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.2.0"
+__version__ = "1.3.0"

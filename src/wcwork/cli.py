@@ -1,7 +1,7 @@
 """Command-line front end.
 
-One run = one JSON config file + flag overrides.  The config is a flat JSON
-object whose ``mode`` key selects the computation:
+One run = one JSON config file: a JSON object whose ``mode`` key selects the
+computation, and ``_SCHEMA`` lists every other key the mode reads:
 
   enumerate     exact work distribution of a discrete protocol (CSV: w,p)
   equality      worst-case-work equality report (flat JSON)
@@ -11,15 +11,12 @@ object whose ``mode`` key selects the computation:
   ebox-charfn   exp-tilted work averages on a grid of tilts (CSV: xi,z)
   ebox-sweep    guaranteed extracted work vs protocol speed (CSV)
 
-Exit codes: 0 success, 2 invalid input/config, 3 resource limit exceeded,
-4 numerical failure.  Floats are printed with repr-faithful %.17g so outputs
-are byte-reproducible for a given config and seed.
+Exit codes: 0 success, 2 invalid input/config or an unwritable ``--out``,
+3 resource limit exceeded, 4 numerical failure.  Floats print as repr-faithful
+%.17g, so output is byte-reproducible for a given config and seed.
 """
 
-from __future__ import annotations
-
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -29,180 +26,235 @@ import numpy as np
 from . import ebox, engine, model, singleshot
 from .errors import InvalidInputError, NumericError, ResourceLimitError
 
-_MODES = (
-    "enumerate",
-    "equality",
-    "crooks",
-    "ebox-mc",
-    "ebox-series",
-    "ebox-charfn",
-    "ebox-sweep",
-)
+_REQUIRED = object()
+_FLOAT_MAX = sys.float_info.max
 
-_KNOWN_KEYS = {
-    "mode", "beta", "energy_units", "levels", "rho0", "steps", "in_levels",
-    "eps", "bin_tolerance", "gamma0", "eps_c", "ramp", "n_traj", "n_steps",
-    "seed", "j_max", "w_grid", "durations", "eps_max", "xi_values", "n_bins",
-    "out",
+
+def _bad(path, what):
+    return InvalidInputError(f"{path or 'config'} must be {what}")
+
+
+# Checks: check(value, path) validates a JSON value and gives its converted
+# form, or raises InvalidInputError naming the key path.
+
+def _real(value, path):
+    if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:
+        raise _bad(path, "a finite number")
+    return float(value)
+
+
+def _count(minimum, maximum=None):
+    """An integer (a JSON integer or an integral float such as 1e5)."""
+    what = f"an integer >= {minimum}" + (f" and <= {maximum}" if maximum else "")
+
+    def count(value, path):
+        if type(value) is float and value.is_integer():
+            value = int(value)
+        if (type(value) is not int or value < minimum
+                or maximum is not None and value > maximum):
+            raise _bad(path, what)
+        return value
+    return count
+
+
+def _list(check):
+    def checked_list(value, path):
+        if not isinstance(value, list):
+            raise _bad(path, "a list")
+        return [check(x, f"{path}[{i}]") for i, x in enumerate(value)]
+    return checked_list
+
+
+def _vector(value, path):
+    return np.array(_list(_real)(value, path), dtype=float)
+
+
+def _matrix(value, path):
+    rows = _list(_vector)(value, path)
+    if len({row.size for row in rows}) > 1:
+        raise _bad(path, "a list of equal-length rows")
+    return np.array(rows).reshape(len(rows), rows[0].size if rows else 0)
+
+
+def _choice(*options):
+    types = {type(o) for o in options}
+
+    def choice(value, path):
+        if type(value) not in types or value not in options:
+            raise _bad(path, "one of " + ", ".join(map(json.dumps, options)))
+        return value
+    return choice
+
+
+def _vector_or(check):
+    """A list of finite numbers, or else a value that passes ``check``."""
+    def vector_or(value, path):
+        return (_vector if isinstance(value, list) else check)(value, path)
+    return vector_or
+
+
+def _fields(obj, schema, prefix):
+    unknown = sorted(set(obj) - set(schema))
+    if unknown:
+        raise InvalidInputError("unknown config keys: " + ", ".join(
+            prefix + k for k in unknown))
+    out = {}
+    for key, (check, default) in schema.items():
+        if key in obj:
+            out[key] = check(obj[key], prefix + key)
+        elif default is _REQUIRED:
+            raise InvalidInputError(f"{prefix}{key} is required")
+        else:
+            out[key] = default
+    return out
+
+
+def _tagged(tag, variants, pick=None):
+    """An object whose variant, its ``tag`` value or ``pick(obj)``, selects
+    the schema of its other keys; converts to those fields plus ``tag`` set
+    to the variant's name.  A name's part before '/' is the tag value."""
+    names = ", ".join(dict.fromkeys(v.partition("/")[0] for v in variants))
+
+    def tagged(value, path):
+        if not isinstance(value, dict):
+            raise _bad(path, "an object")
+        prefix = f"{path}." if path else ""
+        name = pick(value) if pick else value.get(tag)
+        if not isinstance(name, str) or name not in variants:
+            raise _bad(prefix + tag, f"one of {names}")
+        out = _fields({k: v for k, v in value.items() if k != tag},
+                      variants[name], prefix)
+        out[tag] = name
+        return out
+    return tagged
+
+
+def _step_kind(step):
+    kind = step.get("type")
+    if kind == "thermalize":
+        return "thermalize/full" if "full" in step else "thermalize/hop"
+    return kind
+
+
+_STEP = _tagged("type", {
+    "change": {"levels": (_vector, _REQUIRED), "jump": (_matrix, _REQUIRED)},
+    "thermalize/hop": {"hop": (_matrix, _REQUIRED)},
+    "thermalize/full": {"full": (_choice(True), _REQUIRED)},
+}, pick=_step_kind)
+
+_RAMP = _tagged("shape", {
+    "linear": {k: (_real, _REQUIRED) for k in ("eps0", "epsf", "tau")},
+    "updown": {"eps_max": (_real, _REQUIRED), "tau": (_real, _REQUIRED)},
+    "points": {"times": (_vector, _REQUIRED), "values": (_vector, _REQUIRED)},
+})
+
+# Philox keys are 64-bit; ebox-sweep adds the duration index to the seed
+_SEED = _count(0, 2**63 - 1)
+
+_UNITS = {"energy_units": (_choice("kT", "absolute"), "kT"),
+          "beta": (_real, None)}  # beta: resolved by load_config
+_DISCRETE = {**_UNITS, "levels": (_vector, _REQUIRED),
+             "rho0": (_vector, _REQUIRED), "steps": (_list(_STEP), _REQUIRED)}
+_EBOX = {**_UNITS, "gamma0": (_real, _REQUIRED), "eps_c": (_real, _REQUIRED)}
+_RAMPED = {**_EBOX, "ramp": (_RAMP, _REQUIRED),
+           "rho0": (_vector_or(_choice("gibbs")), "gibbs")}
+_SAMPLED = {"n_traj": (_count(1), _REQUIRED), "n_steps": (_count(1), _REQUIRED),
+            "seed": (_SEED, ebox.DEFAULT_SEED)}
+
+_SCHEMA = {
+    "enumerate": {**_DISCRETE, "bin_tolerance": (_real, engine.DEFAULT_BIN_TOLERANCE)},
+    "equality": {**_DISCRETE, "in_levels": (_list(_count(0)), _REQUIRED),
+                 "eps": (_real, 0.0)},
+    "crooks": _DISCRETE,
+    "ebox-mc": {**_RAMPED, **_SAMPLED, "n_bins": (_count(1), 60)},
+    "ebox-series": {**_RAMPED, "j_max": (_count(0), 3), "w_grid": (_vector, _REQUIRED)},
+    "ebox-charfn": {**_RAMPED, "xi_values": (_vector, _REQUIRED),
+                    "n_steps": (_count(1), 2000)},
+    "ebox-sweep": {**_EBOX, **_SAMPLED, "durations": (_vector, _REQUIRED),
+                   "eps": (_vector_or(_real), _REQUIRED),
+                   "eps_max": (_real, _REQUIRED)},
 }
 
-
-@dataclasses.dataclass
-class RunConfig:
-    """Validated run settings; ``raw`` keeps the original document for echo."""
-
-    mode: str
-    raw: dict
-
-    def get(self, key, default=None):
-        return self.raw.get(key, default)
-
-    def require(self, key):
-        if key not in self.raw:
-            raise InvalidInputError(f"config key '{key}' is required for mode "
-                                    f"'{self.mode}'")
-        return self.raw[key]
-
-    def to_document(self) -> dict:
-        return dict(self.raw)
+_CONFIG = _tagged("mode", _SCHEMA)
 
 
-def load_config(path: str, overrides: dict) -> RunConfig:
+def load_config(path: str) -> dict:
+    """The config at ``path`` as a dict of converted values: every key its mode
+    reads, defaults filled in, and ``beta`` resolved from ``energy_units``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidInputError("config must be a JSON object")
-    unknown = sorted(set(doc) - _KNOWN_KEYS)
-    if unknown:
-        raise InvalidInputError(f"unknown config keys: {', '.join(unknown)}")
-    doc.update({k: v for k, v in overrides.items() if v is not None})
-    mode = doc.get("mode")
-    if mode not in _MODES:
-        raise InvalidInputError(
-            f"config key 'mode' must be one of {', '.join(_MODES)}"
-        )
-    return RunConfig(mode=mode, raw=doc)
-
-
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
-def _beta(cfg: RunConfig) -> float:
-    units = cfg.get("energy_units", "kT")
-    if units not in ("kT", "absolute"):
-        raise InvalidInputError("energy_units must be 'kT' or 'absolute'")
-    if units == "kT":
-        if "beta" in cfg.raw and cfg.raw["beta"] != 1.0:
+    cfg = _CONFIG(doc, "")
+    if cfg["energy_units"] == "kT":
+        if cfg["beta"] not in (None, 1.0):
             raise InvalidInputError("beta must be 1 when energy_units is kT")
-        return 1.0
-    return float(cfg.require("beta"))
+        cfg["beta"] = 1.0
+    elif cfg["beta"] is None:
+        raise InvalidInputError("beta is required when energy_units is absolute")
+    return cfg
 
 
-def _build_protocol(cfg: RunConfig):
-    beta = _beta(cfg)
-    landscape = model.EnergyLandscape(np.asarray(cfg.require("levels"), float))
-    rho0 = model.DiagonalState(np.asarray(cfg.require("rho0"), float))
-    steps = []
-    current = landscape
-    for k, raw in enumerate(cfg.require("steps")):
-        if not isinstance(raw, dict) or "type" not in raw:
-            raise InvalidInputError(f"steps[{k}] must be an object with 'type'")
-        kind = raw["type"]
-        if kind == "change":
-            current = model.EnergyLandscape(np.asarray(raw["levels"], float))
-            steps.append(model.HamiltonianChange(
-                target=current, jump=np.asarray(raw["jump"], float)))
-        elif kind == "thermalize":
-            if raw.get("full", False):
-                hop = model.partial_swap_hop_matrix(current, beta, 1.0)
-            else:
-                hop = np.asarray(raw["hop"], float)
-            steps.append(model.Thermalization(hop=hop))
+def _build_protocol(cfg):
+    beta = cfg["beta"]
+    landscape = model.EnergyLandscape(cfg["levels"])
+    rho0 = model.DiagonalState(cfg["rho0"])
+    steps, current = [], landscape
+    for step in cfg["steps"]:
+        if step["type"] == "change":
+            current = model.EnergyLandscape(step["levels"])
+            steps.append(model.HamiltonianChange(target=current, jump=step["jump"]))
+        elif step["type"] == "thermalize/full":
+            steps.append(model.Thermalization(
+                hop=model.partial_swap_hop_matrix(current, beta, 1.0)))
         else:
-            raise InvalidInputError(
-                f"steps[{k}].type must be 'change' or 'thermalize'")
-    protocol = model.Protocol(initial=landscape, beta=beta, steps=tuple(steps))
-    return protocol, rho0
+            steps.append(model.Thermalization(hop=step["hop"]))
+    return model.Protocol(initial=landscape, beta=beta, steps=tuple(steps)), rho0
 
 
-def _ebox_params(cfg: RunConfig) -> ebox.EboxParams:
-    return ebox.EboxParams(
-        gamma0=float(cfg.require("gamma0")),
-        eps_c=float(cfg.require("eps_c")),
-        beta=_beta(cfg),
-    )
-
-
-def _ramp(cfg: RunConfig) -> ebox.Ramp:
-    spec = cfg.require("ramp")
-    if not isinstance(spec, dict) or "shape" not in spec:
-        raise InvalidInputError("config key 'ramp' must be an object with 'shape'")
-    shape = spec["shape"]
-    if shape == "linear":
-        return ebox.linear_ramp(float(spec["eps0"]), float(spec["epsf"]),
-                                float(spec["tau"]))
-    if shape == "updown":
-        return ebox.szilard_ramp(float(spec["eps_max"]), float(spec["tau"]))
-    if shape == "points":
-        return ebox.Ramp(np.asarray(spec["times"], float),
-                         np.asarray(spec["values"], float))
-    raise InvalidInputError("ramp shape must be 'linear', 'updown', or 'points'")
-
-
-def _ebox_rho0(cfg: RunConfig, ramp, beta) -> np.ndarray:
-    raw = cfg.get("rho0", "gibbs")
-    if raw == "gibbs":
-        return np.array(ebox.gibbs_occupations(float(ramp(0.0)), beta))
-    return np.asarray(raw, dtype=float)
+def _ramp(spec) -> ebox.Ramp:
+    if spec["shape"] == "linear":
+        return ebox.linear_ramp(spec["eps0"], spec["epsf"], spec["tau"])
+    if spec["shape"] == "updown":
+        return ebox.szilard_ramp(spec["eps_max"], spec["tau"])
+    return ebox.Ramp(spec["times"], spec["values"])
 
 
 def _csv_lines(header, rows):
-    out = [header]
-    out.extend(",".join(_fmt(x) for x in row) for row in rows)
-    return "\n".join(out) + "\n"
+    lines = [header] + [",".join("%.17g" % x for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _run(cfg: RunConfig, seed: int, extracted: bool) -> str:
+def _run(cfg: dict, extracted: bool) -> str:
     def signed(w):
         # 0.0 - w, unlike -w, maps a zero work to +0.0
         return 0.0 - w if extracted else w
 
-    if cfg.mode == "enumerate":
+    mode = cfg["mode"]
+    if mode == "enumerate":
         protocol, rho0 = _build_protocol(cfg)
-        dist = engine.work_distribution(
-            protocol, rho0, bin_tolerance=float(cfg.get("bin_tolerance", 1e-9)))
+        dist = engine.work_distribution(protocol, rho0, cfg["bin_tolerance"])
         return _csv_lines("w,p", [(signed(w), p) for w, p in dist.atoms.tolist()])
 
-    if cfg.mode == "equality":
+    if mode == "equality":
         protocol, rho0 = _build_protocol(cfg)
-        partition = model.LevelPartition(
-            in_set=frozenset(int(i) for i in cfg.require("in_levels")),
-            d=protocol.d)
-        eps = float(cfg.get("eps", 0.0))
-        if eps == 0.0:
+        partition = model.LevelPartition(in_set=cfg["in_levels"], d=protocol.d)
+        if cfg["eps"] == 0.0:
             rep = singleshot.main_equality_report(rho0, protocol, partition)
         else:
             rep = singleshot.work_tail_equality_report(
-                rho0, protocol, partition, eps)
-        doc = {
-            "w0_in": signed(rep.w0_in),
-            "d_infinity": rep.d_infinity_term,
-            "optimum": rep.optimum_term,
-            "log1meps": rep.log1meps_term,
-            "residual": rep.residual,
-            "eps": rep.eps,
-            "mild_assumption_ok": rep.mild_assumption_ok,
-            "tail_bound": rep.tail_bound,
-        }
+                rho0, protocol, partition, cfg["eps"])
+        doc = {"w0_in": signed(rep.w0_in), "d_infinity": rep.d_infinity_term,
+               "optimum": rep.optimum_term, "log1meps": rep.log1meps_term,
+               "residual": rep.residual, "eps": rep.eps,
+               "mild_assumption_ok": rep.mild_assumption_ok,
+               "tail_bound": rep.tail_bound}
         return json.dumps(doc, indent=2, default=float) + "\n"
 
-    if cfg.mode == "crooks":
+    if mode == "crooks":
         protocol, rho0 = _build_protocol(cfg)
         beta = protocol.beta
         _, z0 = model.make_thermal_state(protocol.initial, beta)
@@ -210,91 +262,78 @@ def _run(cfg: RunConfig, seed: int, extracted: bool) -> str:
         fwd = engine.work_distribution(protocol, rho0)
         rev = engine.work_distribution(model.reverse_protocol(protocol), gamma_f)
         jz = engine.jarzynski_sum(fwd, beta)
-        doc = {
-            "max_crooks_residual": engine.crooks_residual(fwd, rev, z0, zf, beta),
-            "jarzynski_residual": abs(jz - zf / z0),
-            "log_z_ratio": math.log(zf / z0),
-        }
+        doc = {"max_crooks_residual": engine.crooks_residual(fwd, rev, z0, zf, beta),
+               "jarzynski_residual": abs(jz - zf / z0),
+               "log_z_ratio": math.log(zf / z0)}
         return json.dumps(doc, indent=2) + "\n"
 
-    params = _ebox_params(cfg)
-    if cfg.mode == "ebox-sweep":
-        rows = ebox.szilard_sweep(
-            [float(t) for t in cfg.require("durations")],
-            cfg.require("eps"),
-            float(cfg.require("eps_max")),
-            int(cfg.require("n_traj")),
-            int(cfg.require("n_steps")),
-            seed,
-            params,
-        )
-        return _csv_lines("speed,eps,w_eps,stderr", rows)
+    params = ebox.EboxParams(cfg["gamma0"], cfg["eps_c"], cfg["beta"])
+    if mode == "ebox-sweep":
+        return _csv_lines("speed,eps,w_eps,stderr", ebox.szilard_sweep(
+            cfg["durations"], cfg["eps"], cfg["eps_max"], cfg["n_traj"],
+            cfg["n_steps"], cfg["seed"], params))
 
-    ramp = _ramp(cfg)
-    rho0 = _ebox_rho0(cfg, ramp, params.beta)
+    ramp = _ramp(cfg["ramp"])
+    rho0 = cfg["rho0"]
+    if isinstance(rho0, str):  # "gibbs": the Gibbs state at the ramp's start
+        rho0 = np.array(ebox.gibbs_occupations(ramp(0.0), params.beta))
 
-    if cfg.mode == "ebox-mc":
+    if mode == "ebox-mc":
         dist = ebox.monte_carlo_work(
-            ramp, rho0, int(cfg.require("n_traj")), int(cfg.require("n_steps")),
-            seed, params)
+            ramp, rho0, cfg["n_traj"], cfg["n_steps"], cfg["seed"], params)
         if dist.samples.min() == dist.samples.max():
             # degenerate sample set (e.g. decoupled bath): emit the atom
             return _csv_lines("w,p", [(signed(dist.samples[0]), 1.0)])
-        n_bins = int(cfg.get("n_bins", 60))
-        counts, edges = np.histogram(signed(dist.samples), bins=n_bins)
-        widths = np.diff(edges)
-        rows = [(edges[i], edges[i + 1], counts[i] / (dist.n * widths[i]))
-                for i in range(n_bins)]
-        return _csv_lines("w_lo,w_hi,density", rows)
+        counts, edges = np.histogram(signed(dist.samples), bins=cfg["n_bins"])
+        density = counts / (dist.n * np.diff(edges))
+        return _csv_lines("w_lo,w_hi,density", zip(edges[:-1], edges[1:], density))
 
-    if cfg.mode == "ebox-series":
-        w_grid = np.asarray(cfg.require("w_grid"), float)
+    if mode == "ebox-series":
         dist = ebox.analytic_work_distribution(
-            ramp, int(cfg.get("j_max", 3)), w_grid, rho0, params)
+            ramp, cfg["j_max"], cfg["w_grid"], rho0, params)
         # Atoms are emitted as zero-width rows whose 'density' column holds
         # the point mass itself.
         rows = [(signed(w), signed(w), p) for w, p in dist.atoms]
-        widths = np.diff(dist.bin_edges)
-        for i, m in enumerate(dist.bin_masses):
-            lo, hi = dist.bin_edges[i], dist.bin_edges[i + 1]
-            if extracted:
-                lo, hi = signed(hi), signed(lo)
-            rows.append((lo, hi, m / widths[i]))
+        lo, hi = dist.bin_edges[:-1], dist.bin_edges[1:]
+        if extracted:
+            lo, hi = signed(hi), signed(lo)
+        rows += zip(lo, hi, dist.bin_masses / np.diff(dist.bin_edges))
         return _csv_lines("w_lo,w_hi,density", rows)
 
-    if cfg.mode == "ebox-charfn":
-        xi_values = list(cfg.require("xi_values"))
-        z = ebox.characteristic_function(
-            xi_values, ramp, rho0, int(cfg.get("n_steps", 2000)), params)
-        return _csv_lines("xi,z", zip(xi_values, z))
-
-    raise InvalidInputError(f"unhandled mode {cfg.mode}")  # pragma: no cover
+    # ebox-charfn
+    z = ebox.characteristic_function(
+        cfg["xi_values"], ramp, rho0, cfg["n_steps"], params)
+    return _csv_lines("xi,z", zip(cfg["xi_values"], z))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="wcwork",
-        description="Work statistics of driven systems coupled to a heat bath.",
-    )
+        description="Work statistics of driven systems coupled to a heat bath.")
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--seed", type=int,
-                        help=f"RNG seed (default {ebox.DEFAULT_SEED})")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; results "
-                             "never depend on it")
+                        help="RNG seed of ebox-mc and ebox-sweep, in place of "
+                             f"the config's (default {ebox.DEFAULT_SEED})")
     parser.add_argument("--extracted", action="store_true",
                         help="report extracted work (-w) instead of work cost")
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config, {"out": args.out})
-        if args.threads < 1:
-            raise InvalidInputError("--threads must be >= 1")
-        seed = args.seed
-        if seed is None:
-            seed = int(cfg.get("seed", ebox.DEFAULT_SEED))
-        text = _run(cfg, seed, args.extracted)
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            if "seed" not in cfg:
+                raise InvalidInputError(f"--seed is not read by mode '{cfg['mode']}'")
+            cfg["seed"] = _SEED(args.seed, "--seed")
+        text = _run(cfg, args.extracted)
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InvalidInputError(f"cannot write --out: {exc}") from exc
+        else:
+            sys.stdout.write(text)
     except InvalidInputError as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)
         return 2
@@ -304,13 +343,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 4
-
-    out_path = cfg.get("out")
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -26,6 +26,7 @@ from .singleshot import markov_d_infinity_bound
 DEFAULT_SEED = 20177
 _JUMP_GRID_DEFAULTS = {1: 200, 2: 80, 3: 40}
 _JUMP_GRID_FALLBACK = 24
+_SERIES_REMAINDER_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def constant_relaxation_p0(eps: float, t, p0_initial: float, params: EboxParams)
     """Closed form for constant splitting: exponential relaxation to the Gibbs
     ground-state occupation with rate Gamma(+eps) + Gamma(-eps)."""
     rate = tunneling_rate(eps, params) + tunneling_rate(-eps, params)
-    p_th = 1.0 / (1.0 + math.exp(-params.beta * eps))
+    p_th = gibbs_occupations(eps, params.beta)[0]
     decay = np.exp(-rate * np.asarray(t, dtype=float))
     return p0_initial * decay + p_th * (1.0 - decay)
 
@@ -355,8 +356,6 @@ def analytic_work_distribution(
     w_grid: np.ndarray,
     rho0,
     params: EboxParams,
-    grid_sizes: dict = None,
-    remainder_tol: float = 0.05,
 ) -> SeriesWorkDistribution:
     """Jump-expansion series for the work distribution.
 
@@ -371,9 +370,6 @@ def analytic_work_distribution(
     w_grid = np.asarray(w_grid, dtype=float)
     if w_grid.ndim != 1 or w_grid.size < 2 or np.any(np.diff(w_grid) <= 0):
         raise InvalidInputError("w_grid must be increasing bin edges")
-    sizes = dict(_JUMP_GRID_DEFAULTS)
-    if grid_sizes:
-        sizes.update(grid_sizes)
     tau = ramp.tau
     eps0, epsf = float(ramp(0.0)), float(ramp(tau))
     _, cumint = _cumulative_rate_integrals(ramp, params)
@@ -398,7 +394,7 @@ def analytic_work_distribution(
         s0 = cumint[seg_sign(sigma0, 1)](tau)
         add_atom(epsf - eps0 if sigma0 else 0.0, p_init * math.exp(-s0))
         for j_jumps in range(1, j_max + 1):
-            n = sizes.get(j_jumps, _JUMP_GRID_FALLBACK)
+            n = _JUMP_GRID_DEFAULTS.get(j_jumps, _JUMP_GRID_FALLBACK)
             mid = (np.arange(n) + 0.5) * tau / n
             dtq = tau / n
             if j_jumps == 1:
@@ -437,9 +433,9 @@ def analytic_work_distribution(
     atom_list = tuple(sorted(atoms.items()))
     captured = sum(p for _, p in atom_list) + bin_masses.sum()
     remainder = 1.0 - captured
-    if remainder > remainder_tol:
+    if remainder > _SERIES_REMAINDER_TOL:
         raise ConvergenceError(
-            f"series remainder {remainder:.4g} exceeds {remainder_tol}; "
+            f"series remainder {remainder:.4g} exceeds {_SERIES_REMAINDER_TOL}; "
             "increase j_max or use the characteristic function"
         )
     return SeriesWorkDistribution(
@@ -541,7 +537,9 @@ def ebox_crooks_check(
     gibbsf = np.array(gibbs_occupations(epsf, beta))
     fwd = monte_carlo_work(ramp, gibbs0, n_traj, n_steps, seed, params)
     rev = monte_carlo_work(ramp.reversed(), gibbsf, n_traj, n_steps, seed + 1, params)
-    log_z_ratio = math.log((1 + math.exp(-beta * epsf)) / (1 + math.exp(-beta * eps0)))
+    # log((1 + e^{-beta eps_f}) / (1 + e^{-beta eps_0})), finite at any splitting
+    log_z_ratio = float(
+        np.logaddexp(0.0, -beta * epsf) - np.logaddexp(0.0, -beta * eps0))
 
     w_f = fwd.samples
     w_r = -rev.samples

@@ -151,6 +151,9 @@ def smooth_d_zero(rho: DiagonalState, sigma: DiagonalState, eps: float) -> float
 # lifted levels with exactly zero occupation get a finite energy large enough
 # that their Gibbs weight underflows to 0.0 in double precision
 _ZERO_OCCUPATION_LIFT = 800.0
+# the mild assumption holds when the worst-case works of the full and the
+# retained-set tilde distributions agree within this
+_MILD_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,6 @@ def build_tilde_scenario(
     rho0: DiagonalState,
     protocol: Protocol,
     partition: LevelPartition,
-    mild_tol: float = 1e-9,
 ) -> TildeScenario:
     """Construct the associated thermal state and its prepended protocol.
 
@@ -229,7 +231,7 @@ def build_tilde_scenario(
     entries = _forward(tilde_protocol, gamma_tilde)
     full = _distribution(entries)
     w0_in_tilde = worst_case_work(_distribution(entries, restrict_start=in_idx))
-    mild_ok = abs(worst_case_work(full) - w0_in_tilde) <= mild_tol
+    mild_ok = abs(worst_case_work(full) - w0_in_tilde) <= _MILD_TOLERANCE
 
     return TildeScenario(
         gamma_tilde=gamma_tilde,

@@ -147,6 +147,18 @@ class TestMasterEquation:
         with pytest.raises(InvalidInputError):
             integrate_master(constant_ramp(1.0, 1.0), np.array([0.7, 0.7]), 10, PARAMS)
 
+    def test_closed_form_at_extreme_splittings(self):
+        t = np.array([0.0, 1e-3, 5.0])
+        for eps in (-800.0, 1.3, 800.0):
+            # Gibbs ground occupation 1 / (1 + e^{-eps}): 0 at -800, 1 at +800
+            p_th = 1.0 / (1.0 + math.exp(-eps)) if abs(eps) < 700 else float(eps > 0)
+            rate = tunneling_rate(eps, PARAMS) + tunneling_rate(-eps, PARAMS)
+            decay = np.exp(-rate * t)
+            got = constant_relaxation_p0(eps, t, 0.3, PARAMS)
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, 0.3 * decay + p_th * (1 - decay),
+                                       rtol=1e-14, atol=1e-300)
+
 
 class TestPartialSwapChain:
     def test_matches_step_by_step_chain(self):
@@ -354,6 +366,17 @@ class TestCrooksCheck:
         assert check.max_sigma_ratio < 4.0
         expected = math.log((1 + math.exp(-2.0)) / 2.0)
         assert check.log_z_ratio == pytest.approx(expected)
+
+    def test_log_z_ratio_finite_at_extreme_splittings(self):
+        # log((1 + e^{790}) / (1 + e^{800})) = -10 to double precision
+        check = ebox_crooks_check(linear_ramp(-800, -790, 1), 200, 1,
+                                  EboxParams(0.001, 1, 1), n_steps=50, n_bins=2,
+                                  min_count=1)
+        assert check.log_z_ratio == pytest.approx(-10.0, abs=1e-12)
+        check = ebox_crooks_check(linear_ramp(790, 800, 1), 200, 1,
+                                  EboxParams(0.001, 1, 1), n_steps=50, n_bins=2,
+                                  min_count=1)
+        assert check.log_z_ratio == 0.0
 
 
 class TestQuantiles:
