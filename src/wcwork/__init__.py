@@ -60,7 +60,6 @@ from .model import (
     make_thermal_state,
     partial_swap_hop_matrix,
     reverse_protocol,
-    step_work,
     sudden_quench_jump_matrix,
 )
 from .singleshot import (
@@ -69,8 +68,6 @@ from .singleshot import (
     build_tilde_scenario,
     d_infinity,
     d_zero,
-    exhaustive_smooth_d_zero,
-    greedy_smooth_d_zero,
     main_equality_report,
     markov_d_infinity_bound,
     max_entropy,
@@ -80,4 +77,4 @@ from .singleshot import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.3.0"
+__version__ = "1.4.0"

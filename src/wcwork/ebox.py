@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import bin_works
 from .errors import (
     ConvergenceError,
     InvalidInputError,
@@ -27,6 +28,7 @@ DEFAULT_SEED = 20177
 _JUMP_GRID_DEFAULTS = {1: 200, 2: 80, 3: 40}
 _JUMP_GRID_FALLBACK = 24
 _SERIES_REMAINDER_TOL = 0.05
+_RATE_INTEGRAL_NODES = 4001
 
 
 @dataclass(frozen=True)
@@ -262,22 +264,22 @@ class WorkSamples:
 
 @dataclass(frozen=True)
 class SeriesWorkDistribution:
-    """The jump-expansion series: (w, p) atoms, density-bin masses on
-    ``bin_edges``, and the mass the series did not capture."""
+    """The jump-expansion series: (w, p) atoms as a read-only (n, 2) array
+    sorted by work, density-bin masses on ``bin_edges``, and the mass the
+    series did not capture."""
 
-    atoms: tuple
+    atoms: np.ndarray
     bin_edges: np.ndarray
     bin_masses: np.ndarray
     remainder: float
 
     def mean(self) -> float:
-        w_at = np.array([w for w, _ in self.atoms])
-        p_at = np.array([p for _, p in self.atoms])
         centers = 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-        return float(np.dot(w_at, p_at) + np.dot(centers, self.bin_masses))
+        return float(np.dot(self.atoms[:, 0], self.atoms[:, 1])
+                     + np.dot(centers, self.bin_masses))
 
     def total_mass(self) -> float:
-        return float(sum(p for _, p in self.atoms) + self.bin_masses.sum())
+        return float(self.atoms[:, 1].sum() + self.bin_masses.sum())
 
 
 def monte_carlo_work(
@@ -336,8 +338,10 @@ def monte_carlo_work(
     return WorkSamples(samples=works, final_levels=finals, seed=seed, n=n_traj)
 
 
-def _cumulative_rate_integrals(ramp: Ramp, params: EboxParams, n_fine: int = 4001):
-    t = ramp.time_grid(n_fine)
+def _cumulative_rate_integrals(ramp: Ramp, params: EboxParams):
+    """Interpolants x -> integral over [0, x] of Gamma(+eps) (key +1) and of
+    Gamma(-eps) (key -1), by the trapezoid rule on the ramp's time grid."""
+    t = ramp.time_grid(_RATE_INTEGRAL_NODES)
     e = ramp(t)
     gp = np.atleast_1d(tunneling_rate(e, params))
     gm = np.atleast_1d(tunneling_rate(-e, params))
@@ -347,7 +351,7 @@ def _cumulative_rate_integrals(ramp: Ramp, params: EboxParams, n_fine: int = 400
         return np.concatenate([[0.0], np.cumsum(inc)])
 
     cp, cm = cum(gp), cum(gm)
-    return t, {+1: lambda x: np.interp(x, t, cp), -1: lambda x: np.interp(x, t, cm)}
+    return {+1: lambda x: np.interp(x, t, cp), -1: lambda x: np.interp(x, t, cm)}
 
 
 def analytic_work_distribution(
@@ -372,27 +376,20 @@ def analytic_work_distribution(
         raise InvalidInputError("w_grid must be increasing bin edges")
     tau = ramp.tau
     eps0, epsf = float(ramp(0.0)), float(ramp(tau))
-    _, cumint = _cumulative_rate_integrals(ramp, params)
+    cumint = _cumulative_rate_integrals(ramp, params)
 
     def seg_sign(sigma0, j):  # sign of the rate in segment/jump j (1-based)
         return +1 if (sigma0 + j + 1) % 2 == 0 else -1
 
-    atoms = {}
-
-    def add_atom(w, p):
-        for key in atoms:
-            if abs(key - w) <= 1e-9:
-                atoms[key] += p
-                return
-        atoms[w] = p
-
+    atom_w, atom_p = [], []
     bin_masses = np.zeros(w_grid.size - 1)
     for sigma0 in (0, 1):
         p_init = start[sigma0]
         if p_init == 0.0:
             continue
         s0 = cumint[seg_sign(sigma0, 1)](tau)
-        add_atom(epsf - eps0 if sigma0 else 0.0, p_init * math.exp(-s0))
+        atom_w.append(epsf - eps0 if sigma0 else 0.0)
+        atom_p.append(p_init * math.exp(-s0))
         for j_jumps in range(1, j_max + 1):
             n = _JUMP_GRID_DEFAULTS.get(j_jumps, _JUMP_GRID_FALLBACK)
             mid = (np.arange(n) + 0.5) * tau / n
@@ -430,16 +427,16 @@ def analytic_work_distribution(
             hist, _ = np.histogram(w_vals, bins=w_grid, weights=weights)
             bin_masses += hist
 
-    atom_list = tuple(sorted(atoms.items()))
-    captured = sum(p for _, p in atom_list) + bin_masses.sum()
-    remainder = 1.0 - captured
+    # the no-jump atoms, merged where they lie within 1e-9 of each other
+    atoms = bin_works(atom_w, atom_p, 1e-9).atoms
+    remainder = 1.0 - (atoms[:, 1].sum() + bin_masses.sum())
     if remainder > _SERIES_REMAINDER_TOL:
         raise ConvergenceError(
             f"series remainder {remainder:.4g} exceeds {_SERIES_REMAINDER_TOL}; "
             "increase j_max or use the characteristic function"
         )
     return SeriesWorkDistribution(
-        atoms=atom_list,
+        atoms=atoms,
         bin_edges=w_grid,
         bin_masses=bin_masses,
         remainder=float(remainder),
@@ -516,7 +513,12 @@ class CrooksCheck:
 
     @property
     def max_sigma_ratio(self) -> float:
-        return float(np.max(np.abs(self.residuals) / self.standard_errors))
+        """Largest |residual| / standard error over the used bins; a bin whose
+        standard error is 0 counts 0 if its residual is 0 and inf otherwise."""
+        r = np.abs(self.residuals)
+        ratio = np.divide(r, self.standard_errors, out=np.where(r > 0, np.inf, 0.0),
+                          where=self.standard_errors > 0)
+        return float(np.max(ratio))
 
 
 def ebox_crooks_check(
@@ -572,33 +574,37 @@ def ebox_crooks_check(
     )
 
 
+def _sorted_cost_quantile(samples, eps: float):
+    """The sorted samples and the index of the smallest x among them with at
+    most floor(eps * n) samples above it."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    return x, max(x.size - 1 - int(math.floor(eps * x.size)), 0)
+
+
 def extracted_work_quantile(samples: np.ndarray, eps: float):
     """Guaranteed extracted work at tolerance eps and an order-statistic
     standard-error estimate.
 
-    Returns the largest g with P(extracted < g) <= eps, where extracted = -w.
+    Returns the largest g with P(extracted < g) <= eps, where extracted = -w:
+    the negated cost quantile, read from the same order statistics.
     """
     if not (0.0 < eps < 1.0):
         raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
-    # 0.0 - w, unlike -w, maps a zero work to +0.0
-    x = np.sort(0.0 - np.asarray(samples, dtype=float))
+    x, k = _sorted_cost_quantile(samples, eps)
     n = x.size
-    k = int(math.floor(eps * n))
-    k = min(k, n - 1)
     dk = max(1, int(math.ceil(3.0 * math.sqrt(n * eps * (1.0 - eps)))))
-    lo = x[max(k - dk, 0)]
-    hi = x[min(k + dk, n - 1)]
-    return float(x[k]), float((hi - lo) / 6.0)
+    # 0.0 - w, unlike -w, maps a zero work to +0.0
+    lo = 0.0 - x[min(k + dk, n - 1)]
+    hi = 0.0 - x[max(k - dk, 0)]
+    return float(0.0 - x[k]), float((hi - lo) / 6.0)
 
 
 def cost_work_quantile(samples: np.ndarray, eps: float) -> float:
     """Smallest x with the empirical P(w > x) <= eps (work-cost convention)."""
     if not (0.0 <= eps < 1.0):
         raise InvalidInputError(f"eps must be in [0, 1), got {eps}")
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    k = n - 1 - int(math.floor(eps * n))  # at most eps*n samples above x[k]
-    return float(x[max(k, 0)])
+    x, k = _sorted_cost_quantile(samples, eps)
+    return float(x[k])
 
 
 def markov_bound_check(

@@ -78,7 +78,8 @@ def _merge(key, work, prob, tol):
     """Sort entries by (key, work) and merge each run of one key whose
     adjacent works lie within ``tol``: masses add, and the merged work is the
     probability-weighted mean, taken as an offset from the run's first work
-    so that an unmerged entry keeps its work exactly."""
+    so that an unmerged entry, or a run of zero mass, keeps its first work
+    exactly."""
     order = np.lexsort((work, key))
     key, work, prob = key[order], work[order], prob[order]
     cut = np.flatnonzero((np.diff(key) != 0) | (np.diff(work) > tol)) + 1
@@ -86,7 +87,9 @@ def _merge(key, work, prob, tol):
     base = work[first]
     mass = np.add.reduceat(prob, first)
     offset = work - np.repeat(base, np.diff(np.append(first, work.size)))
-    return key[first], base + np.add.reduceat(offset * prob, first) / mass, mass
+    shift = np.add.reduceat(offset * prob, first)
+    np.divide(shift, mass, out=shift, where=mass > 0)
+    return key[first], base + shift, mass
 
 
 def _forward(protocol: Protocol, rho0: DiagonalState):

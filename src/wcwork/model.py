@@ -27,35 +27,37 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return arr
 
 
-def is_column_stochastic(m: np.ndarray, atol: float = PROB_ATOL) -> bool:
+def is_column_stochastic(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    if np.any(m < -atol):
+    if np.any(m < -PROB_ATOL):
         return False
-    return bool(np.all(np.abs(m.sum(axis=0) - 1.0) <= atol * max(1, m.shape[0])))
+    return bool(np.all(np.abs(m.sum(axis=0) - 1.0) <= PROB_ATOL * max(1, m.shape[0])))
 
 
-def is_doubly_stochastic(m: np.ndarray, atol: float = PROB_ATOL) -> bool:
+def is_doubly_stochastic(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=float)
-    return is_column_stochastic(m, atol) and bool(
-        np.all(np.abs(m.sum(axis=1) - 1.0) <= atol * max(1, m.shape[0]))
-    )
+    return is_column_stochastic(m) and is_column_stochastic(m.T)
 
 
-def satisfies_detailed_balance(
-    m: np.ndarray, landscape: "EnergyLandscape", beta: float, rtol: float = DB_RTOL
-) -> bool:
-    """Check M[j,i]/M[i,j] = exp(-beta (E_j - E_i)) wherever both entries > 0."""
-    m = np.asarray(m, dtype=float)
-    e = landscape.energies
+def satisfies_detailed_balance(m: np.ndarray, landscape: "EnergyLandscape",
+                               beta: float) -> bool:
+    """Check M[j,i]/M[i,j] = exp(-beta (E_j - E_i)) to relative tolerance
+    DB_RTOL wherever both entries are > 0.
+
+    The ratio is compared in log space, so no Boltzmann factor is formed and
+    none can overflow or underflow at extreme energies.
+    """
+    m = np.asarray(m, dtype=float).tolist()
+    e = landscape.energies.tolist()
+    tol = -math.log1p(-DB_RTOL)
     d = len(e)
     for i in range(d):
         for j in range(i + 1, d):
-            if m[j, i] > 0 and m[i, j] > 0:
-                lhs = m[j, i] * math.exp(-beta * e[i])
-                rhs = m[i, j] * math.exp(-beta * e[j])
-                if abs(lhs - rhs) > rtol * max(abs(lhs), abs(rhs)):
+            if m[j][i] > 0 and m[i][j] > 0:
+                gap = math.log(m[j][i]) - math.log(m[i][j]) + beta * (e[j] - e[i])
+                if abs(gap) > tol:
                     return False
     return True
 
@@ -99,9 +101,9 @@ class DiagonalState:
     def d(self) -> int:
         return int(self.probs.size)
 
-    def support(self, floor: float = 0.0) -> np.ndarray:
-        """Indices with probability strictly above ``floor``."""
-        return np.flatnonzero(self.probs > floor)
+    def support(self) -> np.ndarray:
+        """Indices with positive probability."""
+        return np.flatnonzero(self.probs > 0)
 
 
 @dataclass(frozen=True)
@@ -267,16 +269,3 @@ def reverse_protocol(p: Protocol) -> Protocol:
         else:
             rev_steps.append(Thermalization(hop=step.hop))
     return Protocol(initial=lands[-1], beta=p.beta, steps=tuple(rev_steps))
-
-
-def step_work(
-    step: HamiltonianChange, from_level: int, to_level: int, current: EnergyLandscape
-) -> float:
-    """Work cost of evolving from ``from_level`` of ``current`` to ``to_level``
-    of the step's target landscape (energy after minus energy before)."""
-    if not isinstance(step, HamiltonianChange):
-        raise InvalidInputError("thermalizations cost no work")
-    d = current.d
-    if not (0 <= from_level < d and 0 <= to_level < step.target.d):
-        raise InvalidInputError("level index out of range")
-    return float(step.target.energies[to_level] - current.energies[from_level])

@@ -10,7 +10,6 @@ the fluctuation-theorem route gives
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .engine import (
     work_distribution,
     worst_case_work,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .model import (
     DiagonalState,
     EnergyLandscape,
@@ -37,7 +36,8 @@ from .model import (
 )
 
 _NORM_ATOL = 1e-9
-_EXHAUSTIVE_SUPPORT_LIMIT = 16
+# 2^20 subsets: 8 MB per subset-sum array
+_SMOOTH_SUPPORT_LIMIT = 20
 
 
 def _check_normalized(p: np.ndarray, name: str):
@@ -87,61 +87,33 @@ def max_entropy(rho) -> float:
     return float(math.log(len(_as_state(rho).support())))
 
 
-def exhaustive_smooth_d_zero(
-    rho: DiagonalState, sigma: DiagonalState, eps: float
-) -> float:
-    """Reference implementation: search all proper support subsets to remove."""
-    rho, sigma = _as_state(rho), _as_state(sigma)
-    supp = rho.support()
-    rho_p = rho.probs[supp]
-    sigma_p = sigma.probs[supp]
-    best = d_zero(rho, sigma)
-    k = supp.size
-    for r in range(1, k):
-        for combo in itertools.combinations(range(k), r):
-            idx = np.array(combo)
-            if rho_p[idx].sum() <= eps + 1e-15:
-                kept = sigma_p.sum() - sigma_p[idx].sum()
-                best = max(best, -math.log(kept))
-    return float(best)
-
-
-def greedy_smooth_d_zero(rho: DiagonalState, sigma: DiagonalState, eps: float) -> float:
-    """Remove support levels in decreasing sigma/rho ratio while the removed
-    rho-mass stays within eps."""
-    rho, sigma = _as_state(rho), _as_state(sigma)
-    supp = rho.support()
-    rho_p = rho.probs[supp]
-    sigma_p = sigma.probs[supp]
-    order = np.argsort(-(sigma_p / rho_p), kind="stable")
-    removed_rho = 0.0
-    removed_sigma = 0.0
-    n_removed = 0
-    for i in order:
-        if n_removed == supp.size - 1:
-            break
-        if removed_rho + rho_p[i] <= eps + 1e-15:
-            removed_rho += rho_p[i]
-            removed_sigma += sigma_p[i]
-            n_removed += 1
-    return float(-math.log(sigma_p.sum() - removed_sigma))
-
-
 def smooth_d_zero(rho: DiagonalState, sigma: DiagonalState, eps: float) -> float:
     """d_zero after discarding the support subset of rho-mass <= eps that
     maximizes the discarded sigma-mass (the best retained/ignored level cut).
 
-    Exact subset search up to moderate support sizes, greedy beyond.
+    Exact: the rho- and sigma-masses of all 2^k removal sets of the k support
+    levels are built as subset sums, one level at a time.  Raises
+    ResourceLimitError above ``_SMOOTH_SUPPORT_LIMIT`` support levels.
     """
     if not (0.0 <= eps < 1.0):
         raise InvalidInputError(f"eps must be in [0, 1), got {eps}")
     rho, sigma = _as_state(rho), _as_state(sigma)
+    unsmoothed = d_zero(rho, sigma)  # also checks supp(rho) inside supp(sigma)
+    if eps == 0.0:
+        return unsmoothed
     supp = rho.support()
-    if eps == 0.0 or supp.size == 1:
-        return d_zero(rho, sigma)
-    if supp.size <= _EXHAUSTIVE_SUPPORT_LIMIT:
-        return exhaustive_smooth_d_zero(rho, sigma, eps)
-    return greedy_smooth_d_zero(rho, sigma, eps)
+    if supp.size > _SMOOTH_SUPPORT_LIMIT:
+        raise ResourceLimitError(
+            f"{supp.size} support levels exceed the exact search's limit of "
+            f"{_SMOOTH_SUPPORT_LIMIT}")
+    rho_mass = sigma_mass = np.zeros(1)
+    for r, s in zip(rho.probs[supp].tolist(), sigma.probs[supp].tolist()):
+        rho_mass = np.concatenate([rho_mass, rho_mass + r])
+        sigma_mass = np.concatenate([sigma_mass, sigma_mass + s])
+    # the last subset is the whole support, which cannot be discarded; the
+    # first is the empty set, so the search never falls below d_zero
+    removable = sigma_mass[:-1][rho_mass[:-1] <= eps + 1e-15]
+    return float(-math.log(sigma.probs[supp].sum() - removable.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +191,7 @@ def build_tilde_scenario(
         lifted[int(i)] = (-math.log(p_i * z_tilde) / beta) if p_i > 0 else big
         e_tilde[i] = lifted[int(i)]
 
-    lowering = HamiltonianChange(
-        target=protocol.initial, jump=np.eye(protocol.d)
-    )
+    lowering = HamiltonianChange(target=protocol.initial, jump=np.eye(protocol.d))
     tilde_protocol = Protocol(
         initial=EnergyLandscape(e_tilde),
         beta=beta,
@@ -244,12 +214,16 @@ def build_tilde_scenario(
     )
 
 
-def _reverse_distribution(scenario: TildeScenario):
-    """Work distribution of the reversed tilde protocol from the final Gibbs
-    state, and the final partition function."""
-    proto = scenario.tilde_protocol
+def _equality_terms(rho0, protocol, partition):
+    """What both equality reports share: the tilde scenario, the reversed
+    tilde protocol's work distribution from the final Gibbs state, the
+    optimum log(Zf/Z~) and the tail bound p_out + V(rho0, gamma~)."""
+    scen = build_tilde_scenario(rho0, protocol, partition)
+    proto = scen.tilde_protocol
     gamma_f, z_f = make_thermal_state(proto.final_landscape, proto.beta)
-    return work_distribution(reverse_protocol(proto), gamma_f), z_f
+    rev = work_distribution(reverse_protocol(proto), gamma_f)
+    tail_bound = scen.p_out + variation_distance(rho0.probs, scen.gamma_tilde.probs)
+    return scen, rev, math.log(z_f / scen.z_tilde), tail_bound
 
 
 def main_equality_report(
@@ -258,27 +232,15 @@ def main_equality_report(
     partition: LevelPartition,
 ) -> EqualityReport:
     """Worst-case work of the retained trajectories versus penalty - optimum."""
-    scen = build_tilde_scenario(rho0, protocol, partition)
-    rev, z_f = _reverse_distribution(scen)
+    scen, rev, optimum, tail_bound = _equality_terms(rho0, protocol, partition)
     d_inf = d_infinity(scen.forward, rev)
-    optimum = math.log(z_f / scen.z_tilde)
-
-    in_dist = work_distribution(
-        protocol, rho0, restrict_start=partition.in_indices()
-    )
-    w0_in = worst_case_work(in_dist)
-    residual = abs(protocol.beta * w0_in - d_inf + optimum)
-    tail_bound = scen.p_out + variation_distance(rho0.probs, scen.gamma_tilde.probs)
+    w0_in = worst_case_work(work_distribution(
+        protocol, rho0, restrict_start=partition.in_indices()))
     return EqualityReport(
-        w0_in=w0_in,
-        d_infinity_term=d_inf,
-        optimum_term=optimum,
-        residual=residual,
-        eps=0.0,
-        log1meps_term=0.0,
-        mild_assumption_ok=scen.mild_assumption_ok,
-        tail_bound=tail_bound,
-    )
+        w0_in=w0_in, d_infinity_term=d_inf, optimum_term=optimum,
+        residual=abs(protocol.beta * w0_in - d_inf + optimum), eps=0.0,
+        log1meps_term=0.0, mild_assumption_ok=scen.mild_assumption_ok,
+        tail_bound=tail_bound)
 
 
 def work_tail_equality_report(
@@ -295,30 +257,17 @@ def work_tail_equality_report(
     """
     if not (0.0 <= eps < 1.0):
         raise InvalidInputError(f"eps must be in [0, 1), got {eps}")
-    scen = build_tilde_scenario(rho0, protocol, partition)
+    scen, rev, optimum, tail_bound = _equality_terms(rho0, protocol, partition)
     fwd = scen.forward
-    rev, z_f = _reverse_distribution(scen)
     w_eps, cut = epsilon_guaranteed_work(fwd, eps)
     retained = float(fwd.probs[fwd.works <= w_eps + fwd.bin_tolerance].sum())
     d_inf = d_infinity(cut, rev)
-    optimum = math.log(z_f / scen.z_tilde)
     log1meps = math.log(retained)
-    residual = abs(protocol.beta * w_eps - d_inf - log1meps + optimum)
-    tail_bound = (
-        scen.p_out
-        + variation_distance(rho0.probs, scen.gamma_tilde.probs)
-        + eps
-    )
     return EqualityReport(
-        w0_in=w_eps,
-        d_infinity_term=d_inf,
-        optimum_term=optimum,
-        residual=residual,
-        eps=eps,
-        log1meps_term=log1meps,
-        mild_assumption_ok=scen.mild_assumption_ok,
-        tail_bound=tail_bound,
-    )
+        w0_in=w_eps, d_infinity_term=d_inf, optimum_term=optimum,
+        residual=abs(protocol.beta * w_eps - d_inf - log1meps + optimum), eps=eps,
+        log1meps_term=log1meps, mild_assumption_ok=scen.mild_assumption_ok,
+        tail_bound=tail_bound + eps)
 
 
 def out_of_set_probability(

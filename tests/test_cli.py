@@ -167,6 +167,23 @@ class TestEnumerate:
         assert main(["--config", path]) == 0
         assert capsys.readouterr().out == "w,p\n0,1\n"
 
+    @pytest.mark.parametrize("levels", [[-800.0, -799.0], [800.0, 805.0]])
+    def test_detailed_balance_checked_at_extreme_energies(
+            self, levels, tmp_path, capsys):
+        # Boltzmann factors overflow at -800 kT and underflow at +800 kT;
+        # the check compares log ratios, so neither decides the outcome
+        def run(step):
+            doc = {"mode": "enumerate", "levels": levels, "rho0": [0.5, 0.5],
+                   "steps": [step]}
+            return main(["--config", write_config(tmp_path, doc)])
+
+        assert run({"type": "thermalize", "full": True}) == 0
+        header, atom, end = capsys.readouterr().out.split("\n")
+        assert (header, atom.split(",")[0], end) == ("w,p", "0", "")
+        for hop in ([[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.5], [0.1, 0.5]]):
+            assert run({"type": "thermalize", "hop": hop}) == 2
+            assert "violates detailed balance" in capsys.readouterr().err
+
 
 class TestEquality:
     def test_degenerate_two_level_report(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wcwork import (
     ConvergenceError,
+    CrooksCheck,
     EboxParams,
     InvalidInputError,
     NumericError,
@@ -235,6 +236,31 @@ class TestJumpSeries:
         )
         assert len(atoms) == 1
 
+    def test_atoms_are_a_read_only_array_merged_at_their_mean(self):
+        # the two no-jump atoms, at 0 and at eps_f - eps_0 = 5e-10, lie
+        # within 1e-9 of each other: one atom at their probability-weighted
+        # mean, as WorkDistribution merges them
+        params = EboxParams(gamma0=0.05, eps_c=1.0, beta=1.0)
+        ramp = Ramp([0.0, 1.0], [1.0, 1.0 + 5e-10])
+        dist = analytic_work_distribution(ramp, 1, np.linspace(-2, 2, 41),
+                                          np.array([0.6, 0.4]), params)
+        assert dist.atoms.shape == (1, 2) and not dist.atoms.flags.writeable
+        p0 = 0.6 * math.exp(-tunneling_rate(1.0, params))
+        p1 = 0.4 * math.exp(-tunneling_rate(-1.0, params))
+        w_shift = ramp(1.0) - ramp(0.0)
+        assert dist.atoms[0, 0] == pytest.approx(w_shift * p1 / (p0 + p1), rel=1e-6)
+        assert dist.atoms[0, 1] == pytest.approx(p0 + p1, rel=1e-6)
+
+    def test_atom_of_zero_weight_keeps_its_work(self):
+        # from level 1 the escape action is ~4e4: its no-jump weight is 0.0,
+        # the lost 0.03 stays within the remainder tolerance
+        params = EboxParams(gamma0=100.0, eps_c=1.0, beta=1.0)
+        dist = analytic_work_distribution(linear_ramp(40.0, 41.0, 10.0), 1,
+                                          np.linspace(-2, 2, 5),
+                                          np.array([0.97, 0.03]), params)
+        assert dist.atoms[:, 0].tolist() == [0.0, 1.0]
+        assert dist.atoms[1, 1] == 0.0
+
     def test_mass_accounting(self):
         ramp = linear_ramp(0.0, 1.5, 1.0)
         grid = np.linspace(-2.0, 2.0, 161)
@@ -378,6 +404,21 @@ class TestCrooksCheck:
                                   min_count=1)
         assert check.log_z_ratio == 0.0
 
+    def test_sigma_ratio_of_bins_without_spread(self):
+        # one bin holds every sample of both runs: residual 0, error 0
+        check = ebox_crooks_check(linear_ramp(-800, -790, 1), 200, 1,
+                                  EboxParams(0.001, 1, 1), n_steps=50, n_bins=2,
+                                  min_count=1)
+        assert check.standard_errors.tolist() == [0.0]
+        assert check.max_sigma_ratio == 0.0
+
+        def ratio(residuals, errors):
+            return CrooksCheck(np.zeros(len(errors)), np.array(residuals),
+                               np.array(errors), 0, 0.0).max_sigma_ratio
+
+        assert ratio([0.0, -0.5], [0.0, 0.1]) == pytest.approx(5.0)
+        assert ratio([0.0, 0.1], [0.0, 0.0]) == math.inf
+
 
 class TestQuantiles:
     def test_cost_quantile_manual(self):
@@ -398,6 +439,24 @@ class TestQuantiles:
         g, err = extracted_work_quantile(np.array([0.0, 0.0, 0.0, -1.0]), 0.5)
         assert g == 0.0 and math.copysign(1.0, g) == 1.0
         assert math.copysign(1.0, err) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        works=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0])
+                       | st.floats(-5.0, 5.0), min_size=1, max_size=40),
+        eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_quantiles_match_their_definition(self, works, eps):
+        # the largest extracted value g with #{extracted < g} <= floor(eps n)
+        extracted = [0.0 - w for w in works]
+        k = math.floor(eps * len(works))
+        g = max(x for x in extracted if sum(y < x for y in extracted) <= k)
+        value, err = extracted_work_quantile(np.array(works), eps)
+        assert value == g and math.copysign(1.0, value) == math.copysign(1.0, g)
+        assert err >= 0.0
+        cost = cost_work_quantile(np.array(works), eps)
+        assert cost == -g
+        assert (0.0 - cost).hex() == value.hex()
 
     def test_markov_check_flags_negative_support(self):
         ok, bound, measured = markov_bound_check(np.array([-0.1, 1.0]), 0.2, 1.0, 0.0)
@@ -441,6 +500,20 @@ class TestSweep:
         both = szilard_sweep(durations, (0.1, 0.5), *rest)
         # duration-major, bit for bit the rows of the single-tolerance calls
         assert both == [low[0], mid[0], low[1], mid[1]]
+
+    def test_rows_unchanged(self):
+        # golden rows (speed, eps, w_eps, stderr) of a small fixed sweep
+        rows = szilard_sweep([8.0, 16.0], (0.1, 0.5), 4.0, 300, 400, 13, PARAMS)
+        assert [tuple(x.hex() for x in row) for row in rows] == [
+            ("0x1.0000000000000p-3", "0x1.999999999999ap-4",
+             "0x1.eb851eb851ec0p-4", "0x1.111111111110bp-5"),
+            ("0x1.0000000000000p-3", "0x1.0000000000000p-1",
+             "0x1.1eb851eb851e8p-1", "0x1.7e4b17e4b17ebp-6"),
+            ("0x1.0000000000000p-4", "0x1.999999999999ap-4",
+             "0x1.1eb851eb851e8p-2", "0x1.9999999999995p-6"),
+            ("0x1.0000000000000p-4", "0x1.0000000000000p-1",
+             "0x1.3851eb851eb88p-1", "0x1.62fc962fc9615p-6"),
+        ]
 
     def test_tolerance_validation(self):
         for eps in ((), (0.1, 1.0), 0.0):

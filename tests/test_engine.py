@@ -182,6 +182,11 @@ class TestBinning:
         dist = bin_works(np.array([0.0, 1e-6]), np.array([0.5, 0.5]), 1e-9)
         assert len(dist.works) == 2
 
+    def test_zero_mass_atom_keeps_its_work(self):
+        # a run of zero mass has no weighted mean: it stays at its first work
+        dist = bin_works(np.array([1.0, 3.0, 3.0 + 1e-12]), np.array([0.0, 0.5, 0.0]))
+        assert dist.atoms.tolist() == [[1.0, 0.0], [3.0, 0.5]]
+
 
 class TestWorkDistribution:
     def test_atoms_sorted_and_normalized(self):

@@ -16,9 +16,10 @@ from wcwork import (
     make_thermal_state,
     partial_swap_hop_matrix,
     reverse_protocol,
-    step_work,
     sudden_quench_jump_matrix,
+    work_distribution,
 )
+from wcwork.model import DB_RTOL, satisfies_detailed_balance
 
 
 def two_level_protocol(delta=1.0, beta=1.0, p_swap=1.0):
@@ -57,8 +58,8 @@ class TestDiagonalState:
     def test_support(self):
         rho = DiagonalState(np.array([0.5, 0.0, 0.5]))
         assert rho.support().tolist() == [0, 2]
-        rho2 = DiagonalState(np.array([0.999, 0.001]))
-        assert rho2.support(floor=0.01).tolist() == [0]
+        rho2 = DiagonalState(np.array([1.0, 1e-300]))
+        assert rho2.support().tolist() == [0, 1]
 
 
 class TestStepValidation:
@@ -70,6 +71,17 @@ class TestStepValidation:
     def test_hop_must_be_column_stochastic(self):
         with pytest.raises(InvalidInputError):
             Thermalization(hop=np.array([[0.5, 0.5], [0.4, 0.5]]))
+
+    @pytest.mark.parametrize("e0", [0.0, -800.0, 800.0])
+    def test_detailed_balance_relative_tolerance(self, e0):
+        # M[1,0]/M[0,1] must equal e^{-beta (E_1 - E_0)} = e^{-2} within
+        # DB_RTOL relative, at any common offset of the energies
+        land = EnergyLandscape(np.array([e0, e0 + 2.0]))
+        for rel, ok in ((0.5 * DB_RTOL, True), (-0.5 * DB_RTOL, True),
+                        (2 * DB_RTOL, False), (-2 * DB_RTOL, False)):
+            up = 0.5 * math.exp(-2.0) * (1 + rel)
+            hop = np.array([[1 - up, 0.5], [up, 0.5]])
+            assert satisfies_detailed_balance(hop, land, 1.0) is ok
 
     def test_protocol_rejects_detailed_balance_violation(self):
         l0 = EnergyLandscape(np.array([0.0, 1.0]))
@@ -193,25 +205,33 @@ class TestReverseProtocol:
 
 
 class TestStepWork:
+    """A level change costs the energy after minus the energy before; the
+    engine forms these differences inline."""
+
     def test_change_work_is_energy_difference(self):
         cur = EnergyLandscape(np.array([0.0, 1.0]))
         tgt = EnergyLandscape(np.array([0.5, 3.0]))
-        step = HamiltonianChange(target=tgt, jump=np.eye(2))
-        assert step_work(step, 1, 1, cur) == pytest.approx(2.0)
-        assert step_work(step, 0, 0, cur) == pytest.approx(0.5)
+        prot = Protocol(initial=cur, beta=1.0,
+                        steps=(HamiltonianChange(target=tgt, jump=np.eye(2)),))
+        dist = work_distribution(prot, DiagonalState(np.array([0.25, 0.75])))
+        assert dist.atoms.tolist() == [[0.5, 0.25], [2.0, 0.75]]
 
     def test_cross_level_difference(self):
         cur = EnergyLandscape(np.array([0.0, -1.0]))
         tgt = EnergyLandscape(np.array([0.0, 0.0]))
         step = HamiltonianChange(target=tgt, jump=np.full((2, 2), 0.5))
-        assert step_work(step, 1, 1, cur) == pytest.approx(1.0)
-        assert step_work(step, 1, 0, cur) == pytest.approx(1.0)
+        prot = Protocol(initial=cur, beta=1.0, steps=(step,))
+        dist = work_distribution(prot, DiagonalState(np.array([0.0, 1.0])))
+        # from level 1 to either level: 0 - (-1)
+        assert dist.atoms.tolist() == [[1.0, 1.0]]
 
-    def test_thermalization_rejected(self):
+    def test_thermalization_costs_no_work(self):
         cur = EnergyLandscape(np.array([0.0, 1.0]))
         step = Thermalization(hop=partial_swap_hop_matrix(cur, 1.0, 0.5))
-        with pytest.raises(InvalidInputError):
-            step_work(step, 0, 1, cur)
+        prot = Protocol(initial=cur, beta=1.0, steps=(step,))
+        dist = work_distribution(prot, DiagonalState(np.array([0.5, 0.5])))
+        assert dist.works.tolist() == [0.0]
+        assert dist.probs[0] == pytest.approx(1.0, abs=1e-15)
 
 
 class TestLevelPartition:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcwork import engine, singleshot
 from wcwork import (
@@ -13,12 +15,11 @@ from wcwork import (
     InvalidInputError,
     LevelPartition,
     Protocol,
+    ResourceLimitError,
     Thermalization,
     build_tilde_scenario,
     d_infinity,
     d_zero,
-    exhaustive_smooth_d_zero,
-    greedy_smooth_d_zero,
     main_equality_report,
     make_thermal_state,
     markov_d_infinity_bound,
@@ -29,6 +30,8 @@ from wcwork import (
     work_distribution,
     work_tail_equality_report,
 )
+
+from tests_support import exhaustive_smooth_d_zero
 
 
 def degenerate_thermalize_protocol(beta=1.0, p_swap=1.0):
@@ -88,20 +91,48 @@ class TestSmoothDZero:
         assert smooth_d_zero(rho, sigma, 0.0) == pytest.approx(d_zero(rho, sigma))
 
     def test_greedy_can_be_suboptimal(self):
-        # greedy removes the largest sigma/rho ratio first (level 1, rho-mass
-        # 0.4), which blocks the better joint removal of levels 0 and 2
-        # (rho-mass 0.3 + 0.3 > eps is false here: 0.3 + 0.3 = 0.6 > 0.4, so
-        # the optimal single removal is level 0 with sigma-mass 0.45).
+        # removing levels in decreasing sigma/rho order takes level 0 first
+        # (ratio 1.5, sigma-mass 0.45) and then has no eps left; the exact
+        # search removes level 1 alone (sigma-mass 0.5)
         rho = DiagonalState(np.array([0.3, 0.4, 0.3]))
         sigma = DiagonalState(np.array([0.45, 0.5, 0.05]))
-        eps = 0.4
-        g = greedy_smooth_d_zero(rho, sigma, eps)
-        e = exhaustive_smooth_d_zero(rho, sigma, eps)
-        assert g == pytest.approx(-math.log(1 - 0.45))
-        assert e == pytest.approx(-math.log(1 - 0.5))
-        assert e > g
-        # dispatcher uses the exhaustive search at this support size
-        assert smooth_d_zero(rho, sigma, eps) == pytest.approx(e)
+        assert smooth_d_zero(rho, sigma, 0.4) == pytest.approx(-math.log(0.5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(st.tuples(
+            st.sampled_from([0.0, 0.0, 1e-300, 0.1, 1.0, 3.0])
+            | st.floats(0.0, 10.0),
+            st.floats(1e-3, 10.0)), min_size=1, max_size=10),
+        eps=st.floats(0.0, 1.0, exclude_max=True),
+        more=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_matches_subset_oracle_and_grows_with_eps(self, weights, eps, more):
+        # drawn rho with some unoccupied levels, sigma positive everywhere
+        r = np.array([w for w, _ in weights])
+        if r.sum() == 0:
+            r[0] = 1.0
+        rho = DiagonalState(r / r.sum())
+        s = np.array([w for _, w in weights])
+        sigma = DiagonalState(s / s.sum())
+        got = smooth_d_zero(rho, sigma, eps)
+        assert got == exhaustive_smooth_d_zero(rho, sigma, eps)
+        larger = eps + more * (1.0 - eps)
+        if larger < 1.0:
+            assert smooth_d_zero(rho, sigma, larger) >= got
+
+    def test_support_limit(self):
+        # 20 support levels are searched exactly; 21 raise instead
+        for d, within in ((20, True), (21, False)):
+            rho = DiagonalState(np.full(d, 1.0 / d))
+            if within:
+                # ten of twenty uniform levels (rho-mass 0.5) can go
+                assert smooth_d_zero(rho, rho, 0.5) == pytest.approx(math.log(2.0))
+            else:
+                with pytest.raises(ResourceLimitError):
+                    smooth_d_zero(rho, rho, 0.5)
+        # with eps = 0 nothing is searched, and d_zero needs no limit
+        assert smooth_d_zero(rho, rho, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_nondecreasing_in_eps(self):
         rng = np.random.default_rng(11)

@@ -1,11 +1,15 @@
-"""Shared helpers for the test suite, the path-walk oracle, and the
-stage-by-stage RK4 reference for the electron box.
+"""Shared helpers for the test suite, the path-walk oracle, the
+subset-by-subset smoothed-D0 oracle, and the stage-by-stage RK4 reference for
+the electron box.
 
 The oracle expands every positive-probability trajectory of a protocol and
 bins the path works in a per-atom loop.  It grows as d^(steps+1), so it only
 serves small protocols, as the reference the engine's recursion is checked
 against.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -14,6 +18,7 @@ from wcwork import (
     HamiltonianChange,
     Protocol,
     Thermalization,
+    d_zero,
     partial_swap_hop_matrix,
     tunneling_rate,
 )
@@ -112,3 +117,23 @@ def closure_rk4_z(xi, ramp, rho0, n_steps, params):
             k4 = f(t + h, phi + h * k3)
             phi = phi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return float(phi.sum())
+
+
+def exhaustive_smooth_d_zero(rho, sigma, eps):
+    """Smoothed D0 by visiting every proper subset of supp(rho) one
+    combination at a time: the largest -log(kept sigma-mass) over the
+    subsets of rho-mass <= eps (+1e-15) that can be discarded, and d_zero
+    itself at eps = 0.  Masses add in increasing level order, as in the
+    subset-sum search, so the two agree bit for bit."""
+    best = d_zero(rho, sigma)
+    if eps == 0.0:
+        return best
+    supp = rho.support()
+    rho_p = rho.probs[supp].tolist()
+    sigma_p = sigma.probs[supp].tolist()
+    total = sigma.probs[supp].sum()
+    for r in range(1, len(supp)):
+        for combo in itertools.combinations(range(len(supp)), r):
+            if sum(rho_p[i] for i in combo) <= eps + 1e-15:
+                best = max(best, -math.log(total - sum(sigma_p[i] for i in combo)))
+    return float(best)
