@@ -92,7 +92,7 @@ def smooth_d_zero(rho: DiagonalState, sigma: DiagonalState, eps: float) -> float
     maximizes the discarded sigma-mass (the best retained/ignored level cut).
 
     Exact: the rho- and sigma-masses of all 2^k removal sets of the k support
-    levels are built as subset sums, one level at a time.  Raises
+    levels are built as subset sums, one level at a time.  For eps > 0, raises
     ResourceLimitError above ``_SMOOTH_SUPPORT_LIMIT`` support levels.
     """
     if not (0.0 <= eps < 1.0):
