@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,11 @@ _JUMP_GRID_DEFAULTS = {1: 200, 2: 80, 3: 40}
 _JUMP_GRID_FALLBACK = 24
 _SERIES_REMAINDER_TOL = 0.05
 _RATE_INTEGRAL_NODES = 4001
+# a chunk of Monte Carlo trajectories: at most this many rows, and at most
+# this many uniforms held at once (16 rows at least)
+_MC_CHUNK_ROWS = 4096
+_MC_SCRATCH_FLOATS = 2**22
+_MC_THREAD_MIN_STEPS = 1000  # rows this long are drawn on two threads
 
 
 @dataclass(frozen=True)
@@ -282,6 +288,49 @@ class SeriesWorkDistribution:
         return float(self.atoms[:, 1].sum() + self.bin_masses.sum())
 
 
+def _check_seed(seed, n_keys: int = 1) -> None:
+    """Reject a seed that is not an integer, or whose keys seed, ...,
+    seed + n_keys - 1 do not all fit a 64-bit Philox key word."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or not 0 <= int(seed) <= 2**64 - n_keys:
+        raise InvalidInputError(
+            f"seed must be an integer in [0, 2**64 - {n_keys}], got {seed!r}")
+
+
+def _level_sampler(seed, start, psw, g1, rows: int):
+    """A function that writes the occupied level after every step of
+    trajectories lo..hi-1 (hi - lo <= rows) into ``state[:hi - lo]``.  Its
+    generator and scratch are made once; each call resets the stream."""
+    n = psw.size
+    draws = np.empty((rows, 2 * n + 1))
+    # column 0: the initial level; column k: 2 k + (Gibbs level) if step k-1
+    # swaps, else 0, so the running maximum encodes the last swap's level
+    enc = np.empty((rows, n + 1), dtype=np.int32)
+    mask = np.empty((rows, n), dtype=bool)
+    two_k = np.arange(2, 2 * n + 2, 2, dtype=np.int32)
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state  # zero counter, empty buffer: a newly keyed stream
+    key = fresh["state"]["key"]
+
+    def sample(lo: int, hi: int, state: np.ndarray) -> None:
+        c = hi - lo
+        u, e, m = draws[:c], enc[:c], mask[:c]
+        for i in range(c):
+            key[1] = lo + i
+            bitgen.state = fresh
+            gen.random(out=u[i])
+        np.greater_equal(u[:, 0], start[0], out=e[:, 0])  # 1 with prob p1
+        np.less(u[:, n + 1:], g1, out=m)
+        np.add(two_k, m, out=e[:, 1:])
+        np.less(u[:, 1:n + 1], psw, out=m)  # swap
+        np.multiply(e[:, 1:], m, out=e[:, 1:])
+        np.maximum.accumulate(e, axis=1, out=e)
+        np.bitwise_and(e[:, 1:], 1, out=state[:c])
+
+    return sample
+
+
 def monte_carlo_work(
     ramp: Ramp,
     rho0,
@@ -289,52 +338,58 @@ def monte_carlo_work(
     n_steps: int,
     seed: int,
     params: EboxParams,
-    chunk_size: int = 4096,
 ) -> WorkSamples:
     """Sample trajectories with the partial-swap update.
 
     Per step: with probability p_sw(t) the level is resampled from the
     instantaneous Gibbs state, then the splitting moves and the occupied level
-    accrues work sigma * d(eps).  Each trajectory draws from its own
-    counter-based stream keyed by (seed, trajectory index), so the sample
-    multiset is independent of chunking or scheduling.
+    accrues work sigma * d(eps).  Trajectory i draws from its own
+    counter-based stream, Philox keyed by (seed, i), so the samples are
+    independent of the split across threads.  ``seed`` is an integer in
+    [0, 2**64).  Rows of at least ``_MC_THREAD_MIN_STEPS`` steps are drawn
+    on two threads when the process may use two CPUs.
+
+    The works are one matrix-vector product per chunk of trajectories.  BLAS
+    may round a row's sum differently by its place in the matrix and by its
+    own thread count, so the chunk rows are fixed: changing them can move a
+    work by an ulp.
     """
     if n_traj < 1 or n_steps < 1:
         raise InvalidInputError("n_traj and n_steps must be >= 1")
+    _check_seed(seed)
     start = _initial_pair(rho0)
     _, psw, g1, deps = _swap_schedule(ramp, n_steps, params)
 
     works = np.empty(n_traj)
     finals = np.empty(n_traj, dtype=np.int8)
-    step_idx = np.arange(n_steps)
-    # keep per-chunk scratch arrays near ~100 MB regardless of n_steps
-    chunk_size = max(16, min(chunk_size, 2**22 // (2 * n_steps + 1)))
-    draws = np.empty((min(chunk_size, n_traj), 2 * n_steps + 1))
-    lo = 0
-    while lo < n_traj:
-        hi = min(lo + chunk_size, n_traj)
-        c = hi - lo
-        u = draws[:c]
-        for i in range(c):
-            gen = np.random.Generator(np.random.Philox(key=[seed, lo + i]))
-            u[i] = gen.random(2 * n_steps + 1)
-        init = (u[:, 0] >= start[0]).astype(np.int8)  # 1 with prob p1
-        u_swap = u[:, 1 : n_steps + 1]
-        u_gibbs = u[:, n_steps + 1 :]
-        swapped = u_swap < psw[None, :]
-        lvl_at_swap = (u_gibbs < g1[None, :]).astype(np.int8)
-        last = np.maximum.accumulate(
-            np.where(swapped, step_idx[None, :], -1), axis=1
-        )
-        state = np.where(
-            last >= 0,
-            np.take_along_axis(lvl_at_swap, np.maximum(last, 0), axis=1),
-            init[:, None],
-        )
-        works[lo:hi] = state @ deps
-        finals[lo:hi] = state[:, -1]
-        lo = hi
-
+    rows = min(n_traj, max(16, min(_MC_CHUNK_ROWS,
+                                   _MC_SCRATCH_FLOATS // (2 * n_steps + 1))))
+    n_threads = 1
+    if n_steps >= _MC_THREAD_MIN_STEPS:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        n_threads = min(2, rows, cpus)
+    # both threads fill one chunk, so they share its budget of uniforms
+    part = -(-rows // n_threads)
+    samplers = [_level_sampler(seed, start, psw, g1, part) for _ in range(n_threads)]
+    state = np.empty((rows, n_steps))
+    pool = None
+    if n_threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only long rows use it
+        pool = ThreadPoolExecutor(1)
+    try:
+        for lo in range(0, n_traj, rows):
+            hi = min(lo + rows, n_traj)
+            mid = min(lo + part, hi)  # = hi on one thread
+            upper = pool.submit(samplers[1], mid, hi, state[mid - lo:]) if mid < hi else None
+            samplers[0](lo, mid, state)
+            if upper is not None:
+                upper.result()
+            np.matmul(state[:hi - lo], deps, out=works[lo:hi])
+            finals[lo:hi] = state[:hi - lo, -1]
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return WorkSamples(samples=works, final_levels=finals, seed=seed, n=n_traj)
 
 
@@ -533,6 +588,7 @@ def ebox_crooks_check(
     """Monte Carlo Crooks test: forward from Gibbs(eps_0), reverse from
     Gibbs(eps_f), compared bin-by-bin where both histograms have at least
     ``min_count`` samples."""
+    _check_seed(seed, 2)  # the reverse run reads seed + 1
     beta = params.beta
     eps0, epsf = float(ramp(0.0)), float(ramp(ramp.tau))
     gibbs0 = np.array(gibbs_occupations(eps0, beta))
@@ -654,6 +710,7 @@ def szilard_sweep(
     eps_values = [float(e) for e in np.atleast_1d(eps)]
     if not eps_values or not all(0.0 < e < 1.0 for e in eps_values):
         raise InvalidInputError("eps values must lie in (0, 1)")
+    _check_seed(seed, len(durations))
     tau_max = max(durations)
     rows = []
     for i, tau in enumerate(durations):

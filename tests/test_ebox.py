@@ -1,6 +1,10 @@
 """Tests for the driven single-electron box: rates, dynamics, work statistics."""
 
+import hashlib
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcwork import ebox
 from wcwork import (
     ConvergenceError,
     CrooksCheck,
@@ -36,7 +41,7 @@ from wcwork import (
     tunneling_rate,
 )
 
-from tests_support import closure_rk4_z
+from tests_support import closure_rk4_z, step_by_step_monte_carlo
 
 PARAMS = EboxParams(gamma0=1.0, eps_c=1.0, beta=1.0)
 
@@ -184,15 +189,104 @@ class TestPartialSwapChain:
         assert all(1.7 < r < 2.3 for r in ratios)
 
 
+def _digest(dist):
+    return hashlib.sha256(dist.samples.tobytes() + dist.final_levels.tobytes()).hexdigest()
+
+
 class TestMonteCarlo:
-    def test_reproducible_across_chunk_sizes(self):
+    def test_reproducible_across_chunks_and_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         ramp = linear_ramp(0.0, 2.0, 1.0)
         kw = dict(rho0=np.array([0.7, 0.3]), n_traj=500, n_steps=50,
                   seed=42, params=PARAMS)
-        a = monte_carlo_work(ramp, chunk_size=7, **kw)
-        b = monte_carlo_work(ramp, chunk_size=500, **kw)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        np.testing.assert_array_equal(a.final_levels, b.final_levels)
+        one_block = monte_carlo_work(ramp, **kw)
+        runs = []
+        for scratch, min_steps in ((1, 10**9), (2**22, 1), (1, 1)):
+            # 16-row chunks, one 500-row chunk on two threads, or both
+            monkeypatch.setattr(ebox, "_MC_SCRATCH_FLOATS", scratch)
+            monkeypatch.setattr(ebox, "_MC_THREAD_MIN_STEPS", min_steps)
+            runs.append(monte_carlo_work(ramp, **kw))
+        for dist in runs:
+            np.testing.assert_array_equal(dist.samples, one_block.samples)
+            np.testing.assert_array_equal(dist.final_levels, one_block.final_levels)
+
+    def test_threads_keep_every_bit_on_a_kinked_ramp(self, monkeypatch):
+        # BLAS may round a row's sum by its place in the chunk, so a kinked
+        # ramp shows any change in how the chunks are laid out
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        kw = dict(ramp=szilard_ramp(5.0, 1.0), rho0=np.array([0.5, 0.5]),
+                  n_traj=203, n_steps=300, seed=8, params=PARAMS)
+        one = monte_carlo_work(**kw)
+        monkeypatch.setattr(ebox, "_MC_THREAD_MIN_STEPS", 1)
+        two = monte_carlo_work(**kw)
+        np.testing.assert_array_equal(two.samples, one.samples)
+        np.testing.assert_array_equal(two.final_levels, one.final_levels)
+        monkeypatch.setattr(ebox, "_MC_SCRATCH_FLOATS", 1)
+        tiny = monte_carlo_work(**kw)
+        np.testing.assert_allclose(tiny.samples, one.samples, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(tiny.final_levels, one.final_levels)
+
+    # sha256 of samples + final levels, taken before the per-block generator
+    # reset, the encoded last-swap kernel and the second thread
+    GOLDEN = [
+        ((linear_ramp(0.0, 2.0, 1.0), (0.7, 0.3), 500, 50, 42, PARAMS),
+         "4568248f565ce182f2011c95c23c65671e0e0c4ab424ff89d7101dd0b694e49f"),
+        ((szilard_ramp(5.0, 1.0), (0.5, 0.5), 12000, 400, 3,
+          EboxParams(gamma0=0.1, eps_c=1.0, beta=1.0)),
+         "52cb316ef5dbdff349a5bd3ca861786f2715fb308a2f4e4ffaa8a7613a52576c"),
+        ((linear_ramp(8.0, 0.0, 24.0), (1.0, 0.0), 1001, 2500, 7, PARAMS),
+         "5b00a1bca3317771044720b7e7bf5ced8dd664962b3d6f0f76278618c4e3f847"),
+        ((linear_ramp(8.0, 0.0, 24.0), (1.0, 0.0), 1, 3000, 5, PARAMS),
+         "a6f70b8962305f4121b6d1f122505ce0deae35075ad33b80abcb86e5e814e9af"),
+        ((szilard_ramp(5.0, 2.0), (0.25, 0.75), 37, 3000, 2**63 - 1, PARAMS),
+         "578720a86b05312f68f4c406c1256a0a2e49083f4c51c6b3db4429c0a00ebe68"),
+    ]
+
+    @pytest.mark.parametrize("case, digest", GOLDEN,
+                             ids=["short", "chunks", "threaded-odd", "one-traj", "seed-2^63-1"])
+    def test_streams_unchanged(self, case, digest):
+        ramp, rho0, n_traj, n_steps, seed, params = case
+        dist = monte_carlo_work(ramp, np.array(rho0), n_traj, n_steps, seed, params)
+        assert _digest(dist) == digest
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 1, 2**64 - 1])
+    def test_matches_step_by_step_chain(self, seed):
+        ramp, rho0 = szilard_ramp(4.0, 3.0), np.array([0.4, 0.6])
+        dist = monte_carlo_work(ramp, rho0, 5, 1200, seed, PARAMS)
+        works, finals = step_by_step_monte_carlo(ramp, rho0, 5, 1200, seed, PARAMS)
+        np.testing.assert_allclose(dist.samples, works, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(dist.final_levels, finals)
+
+    def test_concurrent_calls_match_sequential_ones(self):
+        cases = [(szilard_ramp(5.0, 2.0), 37, 3000, 11),
+                 (linear_ramp(0.0, 2.0, 1.0), 300, 50, 12),
+                 (linear_ramp(8.0, 0.0, 24.0), 101, 1500, 13),
+                 (szilard_ramp(3.0, 1.0), 2000, 200, 14)]
+
+        def run(case):
+            ramp, n_traj, n_steps, seed = case
+            return monte_carlo_work(ramp, np.array([0.5, 0.5]), n_traj, n_steps,
+                                    seed, PARAMS)
+
+        expected = [_digest(run(case)) for case in cases]
+        got = [None] * len(cases)
+
+        def worker(k):
+            got[k] = _digest(run(cases[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
 
     def test_decoupled_limit_is_deterministic(self):
         params = EboxParams(gamma0=0.0, eps_c=1.0, beta=1.0)
@@ -212,10 +306,29 @@ class TestMonteCarlo:
         se = math.sqrt(occ[-1, 1] * occ[-1, 0] / n)
         assert abs(p1_mc - occ[-1, 1]) < 4 * se
 
-    def test_input_validation(self):
+    def test_input_validation(self, monkeypatch):
+        ramp, rho0 = constant_ramp(1.0, 1.0), np.array([1.0, 0.0])
         with pytest.raises(InvalidInputError):
-            monte_carlo_work(constant_ramp(1.0, 1.0), np.array([1.0, 0.0]),
-                             0, 10, 1, PARAMS)
+            monte_carlo_work(ramp, rho0, 0, 10, 1, PARAMS)
+        for seed in (-1, 1.5, True, np.True_, 2**64, "3", None):
+            with pytest.raises(InvalidInputError, match="seed"):
+                monte_carlo_work(ramp, rho0, 10, 10, seed, PARAMS)
+        for seed in (2**64 - 1, np.uint64(2**64 - 1), np.int8(3)):
+            assert monte_carlo_work(ramp, rho0, 3, 10, seed, PARAMS).n == 3
+        assert szilard_sweep([1.0, 2.0], 0.5, 1.0, 10, 200, 2**64 - 2, PARAMS)
+
+        # derived keys, seed + 1 for the reverse run and seed + i for
+        # duration i, are checked before anything is sampled
+        def never(*args):
+            raise AssertionError("sampled before the seed was checked")
+
+        monkeypatch.setattr(ebox, "monte_carlo_work", never)
+        for seed in (2**64 - 1, -1, 2.0):
+            with pytest.raises(InvalidInputError, match="seed"):
+                ebox_crooks_check(ramp, 10, seed, PARAMS)
+        for seed in (2**64 - 2, -1, False):
+            with pytest.raises(InvalidInputError, match="seed"):
+                szilard_sweep([1.0, 2.0, 3.0], 0.5, 1.0, 10, 200, seed, PARAMS)
 
 
 class TestJumpSeries:

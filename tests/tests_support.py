@@ -1,6 +1,6 @@
 """Shared helpers for the test suite, the path-walk oracle, the
-subset-by-subset smoothed-D0 oracle, and the stage-by-stage RK4 reference for
-the electron box.
+subset-by-subset smoothed-D0 oracle, and the stage-by-stage RK4 and
+step-by-step Monte Carlo references for the electron box.
 
 The oracle expands every positive-probability trajectory of a protocol and
 bins the path works in a per-atom loop.  It grows as d^(steps+1), so it only
@@ -19,7 +19,9 @@ from wcwork import (
     Protocol,
     Thermalization,
     d_zero,
+    gibbs_occupations,
     partial_swap_hop_matrix,
+    swap_probability,
     tunneling_rate,
 )
 
@@ -117,6 +119,28 @@ def closure_rk4_z(xi, ramp, rho0, n_steps, params):
             k4 = f(t + h, phi + h * k3)
             phi = phi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return float(phi.sum())
+
+
+def step_by_step_monte_carlo(ramp, p0, n_traj, n_steps, seed, params):
+    """Works and final levels of the partial-swap chain, one trajectory and
+    one step at a time.  Trajectory i reads a fresh Philox keyed
+    (seed, i): the initial level (1 if u >= p0[0]), then n_steps swap draws,
+    then n_steps Gibbs draws; the works are summed in step order."""
+    eps = ramp(np.linspace(0.0, ramp.tau, n_steps + 1))
+    psw = swap_probability(eps[:-1], ramp.tau / n_steps, params)
+    g1 = gibbs_occupations(eps[:-1], params.beta)[1]
+    works, finals = [], []
+    for i in range(n_traj):
+        key = np.array([seed, i], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(2 * n_steps + 1)
+        level, w = int(u[0] >= p0[0]), 0.0
+        for k in range(n_steps):
+            if u[1 + k] < psw[k]:
+                level = int(u[1 + n_steps + k] < g1[k])
+            w += level * (eps[k + 1] - eps[k])
+        works.append(w)
+        finals.append(level)
+    return np.array(works), np.array(finals, dtype=np.int8)
 
 
 def exhaustive_smooth_d_zero(rho, sigma, eps):
