@@ -66,11 +66,14 @@ def _list(check):
 
 
 def _vector(value, path):
-    return np.array(_list(_real)(value, path), dtype=float)
+    return np.array(_reals(value, path), dtype=float)
+
+
+_reals, _vectors = _list(_real), _list(_vector)
 
 
 def _matrix(value, path):
-    rows = _list(_vector)(value, path)
+    rows = _vectors(value, path)
     if len({row.size for row in rows}) > 1:
         raise _bad(path, "a list of equal-length rows")
     return np.array(rows).reshape(len(rows), rows[0].size if rows else 0)
@@ -306,18 +309,19 @@ def _run(cfg: dict, extracted: bool) -> str:
     return _csv_lines("xi,z", zip(cfg["xi_values"], z))
 
 
+_PARSER = argparse.ArgumentParser(prog="wcwork", description=(
+    "Work statistics of driven systems coupled to a heat bath."))
+_PARSER.add_argument("--config", required=True, help="path to a JSON config")
+_PARSER.add_argument("--out", help="output file (default: stdout)")
+_PARSER.add_argument("--seed", type=int,
+                     help="RNG seed of ebox-mc and ebox-sweep, in place of "
+                          f"the config's (default {ebox.DEFAULT_SEED})")
+_PARSER.add_argument("--extracted", action="store_true",
+                     help="report extracted work (-w) instead of work cost")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="wcwork",
-        description="Work statistics of driven systems coupled to a heat bath.")
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--seed", type=int,
-                        help="RNG seed of ebox-mc and ebox-sweep, in place of "
-                             f"the config's (default {ebox.DEFAULT_SEED})")
-    parser.add_argument("--extracted", action="store_true",
-                        help="report extracted work (-w) instead of work cost")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = load_config(args.config)

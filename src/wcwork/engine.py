@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError, SupportMismatchError
+from .errors import (InvalidInputError, NumericError, ResourceLimitError,
+                     SupportMismatchError)
 from .model import DiagonalState, HamiltonianChange, Protocol
 
 DEFAULT_BIN_TOLERANCE = 1e-9
@@ -45,7 +46,7 @@ class WorkDistribution:
         atoms = np.array(self.atoms, dtype=float).reshape(-1, 2)
         if atoms.shape[0] == 0:
             raise InvalidInputError("work distribution needs at least one atom")
-        if np.any(np.diff(atoms[:, 0]) < 0):
+        if (atoms[1:, 0] < atoms[:-1, 0]).any():
             raise InvalidInputError("atoms must be sorted by work")
         atoms.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
@@ -82,11 +83,16 @@ def _merge(key, work, prob, tol):
     exactly."""
     order = np.lexsort((work, key))
     key, work, prob = key[order], work[order], prob[order]
-    cut = np.flatnonzero((np.diff(key) != 0) | (np.diff(work) > tol)) + 1
-    first = np.concatenate(([0], cut))
+    head = np.empty(key.size, dtype=bool)  # True where a run starts
+    head[0] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    head[1:] |= work[1:] - work[:-1] > tol
+    if head.all():  # no run merges; + 0.0 maps -0.0 to +0.0, as the mean does
+        return key, work + 0.0, prob
+    first = head.nonzero()[0]
     base = work[first]
     mass = np.add.reduceat(prob, first)
-    offset = work - np.repeat(base, np.diff(np.append(first, work.size)))
+    offset = work - base[head.cumsum() - 1]
     shift = np.add.reduceat(offset * prob, first)
     np.divide(shift, mass, out=shift, where=mass > 0)
     return key[first], base + shift, mass
@@ -97,12 +103,11 @@ def _forward(protocol: Protocol, rho0: DiagonalState):
     d = protocol.d
     if rho0.d != d:
         raise InvalidInputError("state dimension does not match protocol")
-    lands = protocol.landscapes()
-    start = np.flatnonzero(rho0.probs > 0)
-    level = start
+    energies, levels = protocol.initial.energies, np.arange(d)
+    level = start = (rho0.probs > 0).nonzero()[0]
     work = np.zeros(start.size)
     prob = rho0.probs[start]
-    for k, step in enumerate(protocol.steps):
+    for step in protocol.steps:
         if level.size * d > LIVE_ENTRY_CAP:
             raise ResourceLimitError(
                 f"{level.size} live atoms times {d} levels exceed the cap of "
@@ -110,11 +115,12 @@ def _forward(protocol: Protocol, rho0: DiagonalState):
             )
         new_prob = (prob[:, None] * step.matrix[:, level].T).ravel()
         if isinstance(step, HamiltonianChange):
-            d_e = step.target.energies[None, :] - lands[k].energies[level][:, None]
+            d_e = step.target.energies[None, :] - energies[level][:, None]
+            energies = step.target.energies
             new_work = (work[:, None] + d_e).ravel()
         else:
-            new_work = np.repeat(work, d)
-        key = (start[:, None] * d + np.arange(d)[None, :]).ravel()
+            new_work = work.repeat(d)
+        key = (start[:, None] * d + levels).ravel()
         live = new_prob > 0
         key, work, prob = _merge(key[live], new_work[live], new_prob[live],
                                  _MERGE_TOLERANCE)
@@ -212,9 +218,11 @@ def crooks_residual(
     """Max over the forward support of
     |log p_fwd(w) - log p_rev(-w) - log(Zf/Z0) - beta w|.
 
-    A forward atom without a partner at -w in the reverse distribution is a
-    structural violation and raises SupportMismatchError.
+    A forward atom without a partner at -w in the reverse distribution raises
+    SupportMismatchError; a Zf/Z0 not finite and positive, NumericError.
     """
+    if not 0.0 < zf / z0 < math.inf:
+        raise NumericError(f"Zf/Z0 = {zf / z0!r} is not finite and positive")
     q = rev.probs_at(-fwd.works)
     missing = np.flatnonzero(np.isnan(q))
     if missing.size:

@@ -31,14 +31,14 @@ def is_column_stochastic(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    if np.any(m < -PROB_ATOL):
-        return False
-    return bool(np.all(np.abs(m.sum(axis=0) - 1.0) <= PROB_ATOL * max(1, m.shape[0])))
+    tol = PROB_ATOL * max(1, m.shape[0])
+    # min and max propagate a NaN, which then fails its comparison
+    return bool(m.min(initial=0.0) >= -PROB_ATOL
+                and np.abs(m.sum(axis=0) - 1.0).max(initial=0.0) <= tol)
 
 
 def is_doubly_stochastic(m: np.ndarray) -> bool:
-    m = np.asarray(m, dtype=float)
-    return is_column_stochastic(m) and is_column_stochastic(m.T)
+    return is_column_stochastic(m) and is_column_stochastic(np.transpose(m))
 
 
 def satisfies_detailed_balance(m: np.ndarray, landscape: "EnergyLandscape",
@@ -72,7 +72,7 @@ class EnergyLandscape:
         arr = _readonly(self.energies)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("landscape needs at least one energy level")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidInputError("energies must be finite reals")
         object.__setattr__(self, "energies", arr)
 
@@ -91,7 +91,7 @@ class DiagonalState:
         arr = _readonly(self.probs)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("state needs at least one probability")
-        if np.any(arr < -PROB_ATOL) or np.any(arr > 1 + PROB_ATOL):
+        if (arr < -PROB_ATOL).any() or (arr > 1 + PROB_ATOL).any():
             raise InvalidInputError("probabilities must lie in [0, 1]")
         if abs(arr.sum() - 1.0) > PROB_ATOL * max(1, arr.size):
             raise InvalidInputError(f"probabilities sum to {arr.sum()!r}, not 1")
@@ -257,15 +257,11 @@ def reverse_protocol(p: Protocol) -> Protocol:
     thermalization sequence.
 
     The landscape in force at a thermalization is unchanged under reversal, so
-    each hop matrix satisfies detailed balance in the reversed protocol as-is,
-    and the construction is an involution.
+    each validated Thermalization is reused as-is (the reversed Protocol checks
+    its detailed balance again), and the construction is an involution.
     """
     lands = p.landscapes()
-    rev_steps = []
-    for k in range(len(p.steps) - 1, -1, -1):
-        step = p.steps[k]
-        if isinstance(step, HamiltonianChange):
-            rev_steps.append(HamiltonianChange(target=lands[k], jump=step.jump.T))
-        else:
-            rev_steps.append(Thermalization(hop=step.hop))
+    rev_steps = [HamiltonianChange(target=lands[k], jump=step.jump.T)
+                 if isinstance(step, HamiltonianChange) else step
+                 for k, step in reversed(list(enumerate(p.steps)))]
     return Protocol(initial=lands[-1], beta=p.beta, steps=tuple(rev_steps))

@@ -24,7 +24,7 @@ from .engine import (
     work_distribution,
     worst_case_work,
 )
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, NumericError, ResourceLimitError
 from .model import (
     DiagonalState,
     EnergyLandscape,
@@ -177,6 +177,8 @@ def build_tilde_scenario(
         raise InvalidInputError("retained set carries no probability")
 
     z_tilde = float(np.exp(-beta * e0[in_idx]).sum() / (1.0 - p_out))
+    if not 0.0 < z_tilde < math.inf:
+        raise NumericError(f"Z~ = {z_tilde!r} is not finite and positive")
 
     gamma = np.empty(protocol.d)
     gamma[in_idx] = np.exp(-beta * e0[in_idx]) / z_tilde

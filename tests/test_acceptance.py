@@ -205,6 +205,7 @@ def test_acceptance_4_work_tail_equality_and_bound(report):
     )
 
 
+@pytest.mark.slow
 def test_acceptance_5_electron_box_cross_validation(report):
     t0 = time.perf_counter()
     params = EboxParams(gamma0=0.1, eps_c=1.0, beta=1.0)  # gamma0*tau/eps_c = 0.1
@@ -254,6 +255,7 @@ def test_acceptance_5_electron_box_cross_validation(report):
     )
 
 
+@pytest.mark.slow
 def test_acceptance_6_guaranteed_extraction_trend(report):
     t0 = time.perf_counter()
     params = EboxParams(gamma0=1.0, eps_c=1.0, beta=1.0)

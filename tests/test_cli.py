@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import hashlib
 import json
 import math
 import re
@@ -438,6 +439,72 @@ REPRODUCED = {
 }
 
 
+def discrete_configs(n=40):
+    """``n`` discrete configs drawn from a fixed seed: 2-4 levels, 1-6 steps,
+    every discrete mode, integer energies now and then so that works recur
+    and merge, and starts that leave a level empty."""
+    rng = np.random.default_rng(8)
+
+    def energies(d):
+        if rng.random() < 0.3:
+            return rng.integers(-2, 3, size=d).astype(float)
+        return rng.normal(size=d)
+
+    docs = []
+    for k in range(n):
+        d, n_steps = int(rng.integers(2, 5)), int(rng.integers(1, 7))
+        levels = current = energies(d)
+        steps = []
+        for _ in range(n_steps):
+            u = rng.random()
+            if u < 0.5:
+                current = energies(d)
+                jump = sum(w * np.eye(d)[rng.permutation(d)]
+                           for w in rng.dirichlet(np.ones(3)))
+                steps.append({"type": "change", "levels": current.tolist(),
+                              "jump": jump.tolist()})
+            elif u < 0.65:
+                steps.append({"type": "thermalize", "full": True})
+            else:
+                gibbs = np.exp(-(current - current.min()))
+                p = rng.random()
+                hop = (1 - p) * np.eye(d) + p * np.outer(gibbs / gibbs.sum(), np.ones(d))
+                steps.append({"type": "thermalize", "hop": hop.tolist()})
+        rho0 = rng.dirichlet(np.ones(d))
+        if rng.random() < 0.3:
+            rho0[rng.integers(d)] = 0.0
+            rho0 /= rho0.sum()
+        doc = {"mode": ("enumerate", "equality", "equality", "crooks")[k % 4],
+               "levels": levels.tolist(), "rho0": rho0.tolist(), "steps": steps}
+        if doc["mode"] == "equality":
+            chosen = rng.permutation(d)[:rng.integers(1, d + 1)]
+            doc["in_levels"] = sorted({int(np.argmax(rho0)), *chosen.tolist()})
+            if k % 4 == 2:
+                doc["eps"] = float(rng.choice([0.05, 0.2]))
+        if doc["mode"] == "crooks":
+            gibbs = np.exp(-(levels - levels.min()))
+            doc["rho0"] = (gibbs / gibbs.sum()).tolist()
+        docs.append(doc)
+    return docs
+
+
+class TestDiscreteOutputUnchanged:
+    # sha256 of every run's exit code, stdout and stderr, with and without
+    # --extracted; taken before the lean merge and the shared CLI parser
+    DIGEST = "03e831b89adc83d0dbc66e33893b36877a05f8f24760a6bd142a4c3599df4296"
+
+    def test_discrete_output_unchanged(self, tmp_path, capsys):
+        digest, codes = hashlib.sha256(), []
+        for doc in discrete_configs():
+            path = write_config(tmp_path, doc)
+            for extra in ([], ["--extracted"]):
+                codes.append(main(["--config", path, *extra]))
+                out, err = capsys.readouterr()
+                digest.update(f"{codes[-1]}\0{out}\0{err}\0".encode())
+        assert codes.count(0) >= 70
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestRejectedInputs:
     def test_valid_bases_run(self, tmp_path, capsys):
         for doc in VALID.values():
@@ -467,6 +534,66 @@ class TestRejectedInputs:
         crooks = write_config(tmp_path, VALID["crooks"], name="crooks.json")
         assert main(["--config", crooks, "--seed", "3"]) == 2
         assert "--seed is not read by mode 'crooks'" in capsys.readouterr().err
+
+
+# configs whose partition function leaves the double range: a documented
+# numeric failure (exit 4) until Z is carried in log space
+FULL = {"type": "thermalize", "full": True}
+NUMERIC = {
+    "equality at +1000 kT": ({"mode": "equality", "levels": [1000.0, 1001.0],
+                              "rho0": [0.5, 0.5], "in_levels": [0], "steps": [FULL]},
+                             "Z~ = 0.0 is not finite and positive"),
+    "crooks at -800 kT": ({"mode": "crooks", "levels": [-800.0, 0.0],
+                           "rho0": [0.5, 0.5], "steps": [FULL]},
+                          "Zf/Z0 = nan is not finite and positive"),
+}
+
+
+class TestNumericFailures:
+    @pytest.mark.parametrize("name", sorted(NUMERIC))
+    def test_reproduced_case(self, name, tmp_path, capsys):
+        doc, message = NUMERIC[name]
+        for extra in ([], ["--extracted"]):
+            assert main(["--config", write_config(tmp_path, doc), *extra]) == 4
+            out, err = capsys.readouterr()
+            assert out == "" and f"error: numeric: {message}\n" in err
+
+
+class TestSharedParser:
+    """The parser is built once, at import, and serves every call alike."""
+
+    def test_repeated_calls_match_the_first(self, tmp_path, capsys, monkeypatch):
+        def no_new_parser(*args, **kwargs):
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", no_new_parser)
+        lift = write_config(tmp_path, lift_config(), name="lift.json")
+        mc = write_config(tmp_path, VALID["ebox-mc"], name="mc.json")
+        eq = write_config(tmp_path, degenerate_equality_config(), name="eq.json")
+        argvs = [["--config", lift], ["--config", lift, "--extracted"],
+                 ["--config", mc, "--seed", "3"], ["--config", mc],
+                 ["--config", mc, "--extracted", "--seed", "4"],
+                 ["--config", eq, "--seed", "3"], ["--config", eq, "--extracted"]]
+        first = {}
+        for _ in range(3):
+            for argv in argvs:
+                result = (main(argv), *capsys.readouterr())
+                assert first.setdefault(tuple(argv), result) == result
+        assert [first[tuple(a)][0] for a in argvs] == [0, 0, 0, 0, 0, 2, 0]
+        assert first[tuple(argvs[2])] != first[tuple(argvs[3])]
+
+    def test_help_and_rejected_arguments(self, tmp_path, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: wcwork")
+            path = write_config(tmp_path, lift_config())
+            for argv in (["--config", path, "--threads", "1"], ["--extracted"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                assert "usage: wcwork" in capsys.readouterr().err
 
 
 # -- one mutation of a drawn valid config always exits 2 --------------------

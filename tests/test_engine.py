@@ -1,5 +1,6 @@
 """Tests for the exact work recursion and work-distribution utilities."""
 
+import math
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from wcwork import (
     EnergyLandscape,
     HamiltonianChange,
     InvalidInputError,
+    NumericError,
     Protocol,
     ResourceLimitError,
     SupportMismatchError,
@@ -32,7 +34,13 @@ from wcwork import (
     work_distribution,
     worst_case_work,
 )
-from tests_support import enumerate_paths, oracle_atoms, random_protocol, trajectory_work
+from tests_support import (
+    enumerate_paths,
+    merge_oracle,
+    oracle_atoms,
+    random_protocol,
+    trajectory_work,
+)
 
 
 def lift_protocol(delta=1.0, beta=1.0, p_swap=1.0):
@@ -168,6 +176,44 @@ class TestRecursionMatchesOracle:
         assert time.perf_counter() - t0 < 5.0
 
 
+# powers of two, so that works on the grid m * tol lie exactly tol apart
+MERGE_TOLERANCES = (2.0**-33, 2.0**-30, 0.25)
+
+
+@st.composite
+def merge_inputs(draw):
+    """Entries for ``engine._merge``: few keys, works on a grid of the
+    tolerance with one-ulp nudges (gaps exactly at and just past it) or
+    anywhere, repeated works, and probabilities that may be zero."""
+    tol = draw(st.sampled_from(MERGE_TOLERANCES))
+    n = draw(st.integers(1, 40))
+    on_grid = st.builds(lambda m, nudge: float(np.nextafter(m * tol, nudge * np.inf))
+                        if nudge else m * tol,
+                        st.integers(-6, 6), st.sampled_from((0, 1, -1)))
+    works = draw(st.lists(on_grid | st.floats(-3, 3), min_size=1, max_size=8))
+    work = draw(st.lists(st.sampled_from(works), min_size=n, max_size=n))
+    prob = draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+    key = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return np.array(key), np.array(work), np.array(prob), tol
+
+
+class TestMergeMatchesOracle:
+    @staticmethod
+    def assert_bitwise_equal(got, want):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=merge_inputs())
+    def test_drawn_entries(self, entries):
+        self.assert_bitwise_equal(engine._merge(*entries), merge_oracle(*entries))
+
+    def test_single_entry_and_signed_zero(self):
+        for work in (0.25, -0.0):
+            entries = (np.array([2]), np.array([work]), np.array([0.5]), 1e-10)
+            self.assert_bitwise_equal(engine._merge(*entries), merge_oracle(*entries))
+
+
 class TestBinning:
     def test_clusters_within_tolerance(self):
         works = np.array([1.0, 1.0 + 4e-10, 0.0, 5.0])
@@ -281,6 +327,13 @@ class TestFluctuationRelations:
         rev = WorkDistribution(atoms=((0.0, 1.0),))  # no atom at -1
         with pytest.raises(SupportMismatchError):
             crooks_residual(fwd, rev, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("z0,zf", [(math.inf, 1.0), (1.0, math.inf),
+                                       (math.inf, math.inf), (1.0, 0.0)])
+    def test_partition_ratio_out_of_range_raises(self, z0, zf):
+        dist = WorkDistribution(atoms=((0.0, 1.0),))
+        with pytest.raises(NumericError, match="Zf/Z0"):
+            crooks_residual(dist, dist, z0, zf, 1.0)
 
 
 class TestVariationDistance:

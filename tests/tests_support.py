@@ -1,5 +1,6 @@
 """Shared helpers for the test suite, the path-walk oracle, the
-subset-by-subset smoothed-D0 oracle, and the stage-by-stage RK4 and
+entry-by-entry merge oracle, the first form of the column-stochastic check,
+the subset-by-subset smoothed-D0 oracle, and the stage-by-stage RK4 and
 step-by-step Monte Carlo references for the electron box.
 
 The oracle expands every positive-probability trajectory of a protocol and
@@ -24,6 +25,7 @@ from wcwork import (
     swap_probability,
     tunneling_rate,
 )
+from wcwork.model import PROB_ATOL
 
 
 def random_protocol(rng, d, n_steps, beta):
@@ -92,6 +94,59 @@ def oracle_atoms(protocol, rho0, bin_tolerance=1e-9, restrict_start=None):
     cuts = np.flatnonzero(np.diff(w) > bin_tolerance) + 1
     return [(float(np.dot(sw, sp) / sp.sum()), float(sp.sum()))
             for sw, sp in zip(np.split(w, cuts), np.split(p, cuts))]
+
+
+def reduceat_sum(terms):
+    """A run's sum in the order ``np.add.reduceat`` adds it: the first term
+    plus numpy's pairwise sum of the rest, which adds in order below 8 terms
+    and otherwise keeps 8 interleaved partial sums (up to 128 terms)."""
+    first, rest = terms[0], terms[1:]
+    if len(rest) < 8:
+        return first + sum(rest)
+    acc, stop = rest[:8], len(rest) - len(rest) % 8
+    for i in range(8, stop, 8):
+        acc = [a + x for a, x in zip(acc, rest[i:i + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for x in rest[stop:]:
+        total += x
+    return first + total
+
+
+def merge_oracle(key, work, prob, tol):
+    """The engine's merge one entry at a time: a stable sort by (key, work),
+    runs of one key whose adjacent works lie within ``tol``, and per run its
+    key, its first work plus the probability-weighted mean of the offsets
+    from that work (their weighted sum itself where the run has no mass), and
+    its mass."""
+    entries = sorted(zip(key.tolist(), work.tolist(), prob.tolist()),
+                     key=lambda e: e[:2])
+    runs = []
+    for k, w, p in entries:
+        if runs and runs[-1][-1][0] == k and w - runs[-1][-1][1] <= tol:
+            runs[-1].append((k, w, p))
+        else:
+            runs.append([(k, w, p)])
+    keys, works, masses = [], [], []
+    for run in runs:
+        k, base, _ = run[0]
+        mass = reduceat_sum([p for _, _, p in run])
+        shift = reduceat_sum([(w - base) * p for _, w, p in run])
+        keys.append(k)
+        works.append(base + (shift / mass if mass > 0 else shift))
+        masses.append(mass)
+    return np.array(keys, dtype=int), np.array(works), np.array(masses)
+
+
+def column_stochastic_oracle(m):
+    """The column-stochastic check as first written: a square matrix with no
+    entry below -PROB_ATOL and every column sum within PROB_ATOL * max(1, d)
+    of 1."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    if np.any(m < -PROB_ATOL):
+        return False
+    return bool(np.all(np.abs(m.sum(axis=0) - 1.0) <= PROB_ATOL * max(1, m.shape[0])))
 
 
 def closure_rk4_z(xi, ramp, rho0, n_steps, params):
