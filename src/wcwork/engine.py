@@ -87,8 +87,6 @@ def _merge(key, work, prob, tol):
     head[0] = True
     np.not_equal(key[1:], key[:-1], out=head[1:])
     head[1:] |= work[1:] - work[:-1] > tol
-    if head.all():  # no run merges; + 0.0 maps -0.0 to +0.0, as the mean does
-        return key, work + 0.0, prob
     first = head.nonzero()[0]
     base = work[first]
     mass = np.add.reduceat(prob, first)
@@ -221,8 +219,10 @@ def crooks_residual(
     A forward atom without a partner at -w in the reverse distribution raises
     SupportMismatchError; a Zf/Z0 not finite and positive, NumericError.
     """
-    if not 0.0 < zf / z0 < math.inf:
-        raise NumericError(f"Zf/Z0 = {zf / z0!r} is not finite and positive")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = float(np.divide(zf, z0))  # IEEE: no ZeroDivisionError at z0 = 0
+    if not 0.0 < ratio < math.inf:
+        raise NumericError(f"Zf/Z0 = {ratio!r} is not finite and positive")
     q = rev.probs_at(-fwd.works)
     missing = np.flatnonzero(np.isnan(q))
     if missing.size:
@@ -230,7 +230,7 @@ def crooks_residual(
         raise SupportMismatchError(
             f"no reverse atom at {-w!r} matching forward work {w!r}"
         )
-    resid = np.log(fwd.probs) - np.log(q) - math.log(zf / z0) - beta * fwd.works
+    resid = np.log(fwd.probs) - np.log(q) - math.log(ratio) - beta * fwd.works
     return float(np.abs(resid).max())
 
 

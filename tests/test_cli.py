@@ -546,6 +546,9 @@ NUMERIC = {
     "crooks at -800 kT": ({"mode": "crooks", "levels": [-800.0, 0.0],
                            "rho0": [0.5, 0.5], "steps": [FULL]},
                           "Zf/Z0 = nan is not finite and positive"),
+    "crooks at +1000 kT": ({"mode": "crooks", "levels": [1000.0, 1001.0],
+                            "rho0": [0.5, 0.5], "steps": [FULL]},
+                           "Zf/Z0 = nan is not finite and positive"),
 }
 
 

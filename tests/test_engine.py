@@ -329,7 +329,8 @@ class TestFluctuationRelations:
             crooks_residual(fwd, rev, 1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("z0,zf", [(math.inf, 1.0), (1.0, math.inf),
-                                       (math.inf, math.inf), (1.0, 0.0)])
+                                       (math.inf, math.inf), (1.0, 0.0),
+                                       (0.0, 0.0), (0.0, 1.0)])
     def test_partition_ratio_out_of_range_raises(self, z0, zf):
         dist = WorkDistribution(atoms=((0.0, 1.0),))
         with pytest.raises(NumericError, match="Zf/Z0"):
