@@ -30,11 +30,12 @@ _JUMP_GRID_DEFAULTS = {1: 200, 2: 80, 3: 40}
 _JUMP_GRID_FALLBACK = 24
 _SERIES_REMAINDER_TOL = 0.05
 _RATE_INTEGRAL_NODES = 4001
-# a chunk of Monte Carlo trajectories: at most this many rows, and at most
-# this many uniforms held at once (16 rows at least)
+# memory bounds of the Monte Carlo: at most this many rows of trajectories,
+# and at most this many uniforms held at once over all threads (16 rows at
+# least)
 _MC_CHUNK_ROWS = 4096
 _MC_SCRATCH_FLOATS = 2**22
-_MC_THREAD_MIN_STEPS = 1000  # rows this long are drawn on two threads
+_MC_THREAD_MIN_STEPS = 600  # rows this long are drawn on two threads
 
 
 @dataclass(frozen=True)
@@ -297,11 +298,12 @@ def _check_seed(seed, n_keys: int = 1) -> None:
             f"seed must be an integer in [0, 2**64 - {n_keys}], got {seed!r}")
 
 
-def _level_sampler(seed, start, psw, g1, rows: int):
-    """A function that writes the occupied level after every step of
-    trajectories lo..hi-1 (hi - lo <= rows) into ``state[:hi - lo]``.  Its
-    generator and scratch are made once; each call resets the stream."""
+def _sample_block(lo, hi, works, finals, seed, start, psw, g1, deps, rows):
+    """Sample trajectories lo..hi-1, at most ``rows`` at a time, into
+    ``works`` and ``finals``.  The generator and scratch are its own; each
+    trajectory resets the stream."""
     n = psw.size
+    rows = min(rows, hi - lo)
     draws = np.empty((rows, 2 * n + 1))
     # column 0: the initial level; column k: 2 k + (Gibbs level) if step k-1
     # swaps, else 0, so the running maximum encodes the last swap's level
@@ -312,12 +314,11 @@ def _level_sampler(seed, start, psw, g1, rows: int):
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state  # zero counter, empty buffer: a newly keyed stream
     key = fresh["state"]["key"]
-
-    def sample(lo: int, hi: int, state: np.ndarray) -> None:
-        c = hi - lo
+    for a in range(lo, hi, rows):
+        c = min(rows, hi - a)
         u, e, m = draws[:c], enc[:c], mask[:c]
         for i in range(c):
-            key[1] = lo + i
+            key[1] = a + i
             bitgen.state = fresh
             gen.random(out=u[i])
         np.greater_equal(u[:, 0], start[0], out=e[:, 0])  # 1 with prob p1
@@ -326,9 +327,14 @@ def _level_sampler(seed, start, psw, g1, rows: int):
         np.less(u[:, 1:n + 1], psw, out=m)  # swap
         np.multiply(e[:, 1:], m, out=e[:, 1:])
         np.maximum.accumulate(e, axis=1, out=e)
-        np.bitwise_and(e[:, 1:], 1, out=state[:c])
-
-    return sample
+        # the level after each step, over the draws, which are all read
+        s = draws.reshape(-1)[:c * n].reshape(c, n)
+        np.bitwise_and(e[:, 1:], 1, out=s)
+        finals[a:a + c] = s[:, -1]
+        # each row summed on its own, pairwise and never by BLAS, so no bit
+        # of a work depends on the chunk, the thread or BLAS's thread count
+        np.multiply(s, deps, out=s)
+        np.add.reduce(s, axis=1, out=works[a:a + c])
 
 
 def monte_carlo_work(
@@ -343,16 +349,13 @@ def monte_carlo_work(
 
     Per step: with probability p_sw(t) the level is resampled from the
     instantaneous Gibbs state, then the splitting moves and the occupied level
-    accrues work sigma * d(eps).  Trajectory i draws from its own
-    counter-based stream, Philox keyed by (seed, i), so the samples are
-    independent of the split across threads.  ``seed`` is an integer in
-    [0, 2**64).  Rows of at least ``_MC_THREAD_MIN_STEPS`` steps are drawn
-    on two threads when the process may use two CPUs.
-
-    The works are one matrix-vector product per chunk of trajectories.  BLAS
-    may round a row's sum differently by its place in the matrix and by its
-    own thread count, so the chunk rows are fixed: changing them can move a
-    work by an ulp.
+    accrues work sigma * d(eps), summed in a fixed order per trajectory.
+    Trajectory i draws from its own counter-based stream, Philox keyed by
+    (seed, i), so every bit of the output is independent of the chunking,
+    of the split across threads and of BLAS.  ``seed`` is an integer in
+    [0, 2**64).
+    Rows of at least ``_MC_THREAD_MIN_STEPS`` steps are drawn on two threads,
+    each owning half of the trajectories, when the process may use two CPUs.
     """
     if n_traj < 1 or n_steps < 1:
         raise InvalidInputError("n_traj and n_steps must be >= 1")
@@ -362,34 +365,23 @@ def monte_carlo_work(
 
     works = np.empty(n_traj)
     finals = np.empty(n_traj, dtype=np.int8)
-    rows = min(n_traj, max(16, min(_MC_CHUNK_ROWS,
-                                   _MC_SCRATCH_FLOATS // (2 * n_steps + 1))))
+    rows = max(16, min(_MC_CHUNK_ROWS, _MC_SCRATCH_FLOATS // (2 * n_steps + 1)))
     n_threads = 1
     if n_steps >= _MC_THREAD_MIN_STEPS:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-        n_threads = min(2, rows, cpus)
-    # both threads fill one chunk, so they share its budget of uniforms
-    part = -(-rows // n_threads)
-    samplers = [_level_sampler(seed, start, psw, g1, part) for _ in range(n_threads)]
-    state = np.empty((rows, n_steps))
-    pool = None
-    if n_threads > 1:
+        n_threads = min(2, n_traj, cpus)
+    # the threads split one budget of uniforms
+    args = (works, finals, seed, start, psw, g1, deps, -(-rows // n_threads))
+    if n_threads == 1:
+        _sample_block(0, n_traj, *args)
+    else:
         from concurrent.futures import ThreadPoolExecutor  # only long rows use it
-        pool = ThreadPoolExecutor(1)
-    try:
-        for lo in range(0, n_traj, rows):
-            hi = min(lo + rows, n_traj)
-            mid = min(lo + part, hi)  # = hi on one thread
-            upper = pool.submit(samplers[1], mid, hi, state[mid - lo:]) if mid < hi else None
-            samplers[0](lo, mid, state)
-            if upper is not None:
-                upper.result()
-            np.matmul(state[:hi - lo], deps, out=works[lo:hi])
-            finals[lo:hi] = state[:hi - lo, -1]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        mid = -(-n_traj // 2)
+        with ThreadPoolExecutor(1) as pool:
+            upper = pool.submit(_sample_block, mid, n_traj, *args)
+            _sample_block(0, mid, *args)
+            upper.result()
     return WorkSamples(samples=works, final_levels=finals, seed=seed, n=n_traj)
 
 

@@ -223,6 +223,8 @@ def _equality_terms(rho0, protocol, partition):
     scen = build_tilde_scenario(rho0, protocol, partition)
     proto = scen.tilde_protocol
     gamma_f, z_f = make_thermal_state(proto.final_landscape, proto.beta)
+    if not 0.0 < z_f < math.inf:
+        raise NumericError(f"Zf = {z_f!r} is not finite and positive")
     rev = work_distribution(reverse_protocol(proto), gamma_f)
     tail_bound = scen.p_out + variation_distance(rho0.probs, scen.gamma_tilde.probs)
     return scen, rev, math.log(z_f / scen.z_tilde), tail_bound

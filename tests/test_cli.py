@@ -539,10 +539,24 @@ class TestRejectedInputs:
 # configs whose partition function leaves the double range: a documented
 # numeric failure (exit 4) until Z is carried in log space
 FULL = {"type": "thermalize", "full": True}
+
+
+def change_to(*levels):
+    return {"type": "change", "levels": list(levels), "jump": [[1.0, 0.0], [0.0, 1.0]]}
+
+
 NUMERIC = {
     "equality at +1000 kT": ({"mode": "equality", "levels": [1000.0, 1001.0],
                               "rho0": [0.5, 0.5], "in_levels": [0], "steps": [FULL]},
                              "Z~ = 0.0 is not finite and positive"),
+    "equality to +1000 kT": ({"mode": "equality", "levels": [0.0, 1.0],
+                              "rho0": [0.5, 0.5], "in_levels": [0],
+                              "steps": [change_to(1000.0, 1001.0)]},
+                             "Zf = 0.0 is not finite and positive"),
+    "equality to -1000 kT": ({"mode": "equality", "levels": [0.0, 1.0],
+                              "rho0": [0.5, 0.5], "in_levels": [0],
+                              "steps": [change_to(-1000.0, -999.0)]},
+                             "Zf = inf is not finite and positive"),
     "crooks at -800 kT": ({"mode": "crooks", "levels": [-800.0, 0.0],
                            "rho0": [0.5, 0.5], "steps": [FULL]},
                           "Zf/Z0 = nan is not finite and positive"),

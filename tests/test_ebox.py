@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -211,35 +212,55 @@ class TestMonteCarlo:
             np.testing.assert_array_equal(dist.final_levels, one_block.final_levels)
 
     def test_threads_keep_every_bit_on_a_kinked_ramp(self, monkeypatch):
-        # BLAS may round a row's sum by its place in the chunk, so a kinked
-        # ramp shows any change in how the chunks are laid out
+        # a kinked ramp rounds its works differently under any other order
+        # of summation, so it shows a sum that depends on the layout; an odd
+        # n_traj gives the two threads unequal halves
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        kw = dict(ramp=szilard_ramp(5.0, 1.0), rho0=np.array([0.5, 0.5]),
-                  n_traj=203, n_steps=300, seed=8, params=PARAMS)
-        one = monte_carlo_work(**kw)
-        monkeypatch.setattr(ebox, "_MC_THREAD_MIN_STEPS", 1)
-        two = monte_carlo_work(**kw)
-        np.testing.assert_array_equal(two.samples, one.samples)
-        np.testing.assert_array_equal(two.final_levels, one.final_levels)
-        monkeypatch.setattr(ebox, "_MC_SCRATCH_FLOATS", 1)
-        tiny = monte_carlo_work(**kw)
-        np.testing.assert_allclose(tiny.samples, one.samples, rtol=1e-14, atol=1e-14)
-        np.testing.assert_array_equal(tiny.final_levels, one.final_levels)
+        for tau, n_traj, n_steps in ((1.0, 203, 300), (2.0, 2001, 3000)):
+            kw = dict(ramp=szilard_ramp(5.0, tau), rho0=np.array([0.5, 0.5]),
+                      n_traj=n_traj, n_steps=n_steps, seed=8, params=PARAMS)
+            monkeypatch.setattr(ebox, "_MC_SCRATCH_FLOATS", 2**22)
+            monkeypatch.setattr(ebox, "_MC_THREAD_MIN_STEPS", 10**9)
+            one = monte_carlo_work(**kw)
+            for scratch, min_steps in ((2**22, 1), (1, 10**9), (1, 1)):
+                # one chunk on two threads, 16-row chunks, or both
+                monkeypatch.setattr(ebox, "_MC_SCRATCH_FLOATS", scratch)
+                monkeypatch.setattr(ebox, "_MC_THREAD_MIN_STEPS", min_steps)
+                dist = monte_carlo_work(**kw)
+                np.testing.assert_array_equal(dist.samples, one.samples)
+                np.testing.assert_array_equal(dist.final_levels, one.final_levels)
 
-    # sha256 of samples + final levels, taken before the per-block generator
-    # reset, the encoded last-swap kernel and the second thread
+    def test_no_bit_depends_on_blas_threads(self):
+        script = ("import hashlib, numpy as np\n"
+                  "from wcwork import EboxParams, monte_carlo_work, szilard_ramp\n"
+                  "d = monte_carlo_work(szilard_ramp(5, 2), [0.5, 0.5], 2000, 3000, 3,"
+                  " EboxParams(1, 1, 1))\n"
+                  "print(hashlib.sha256(d.samples.tobytes()"
+                  " + d.final_levels.tobytes()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ebox.__file__)))
+        digests = set()
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=120, check=True)
+            digests.add(run.stdout)
+        assert len(digests) == 1
+
+    # sha256 of samples + final levels; the cases whose works moved when
+    # each work became a pairwise sum of its own row were re-taken then
     GOLDEN = [
         ((linear_ramp(0.0, 2.0, 1.0), (0.7, 0.3), 500, 50, 42, PARAMS),
-         "4568248f565ce182f2011c95c23c65671e0e0c4ab424ff89d7101dd0b694e49f"),
+         "33e1c3fdff7a41b63daa6d7ee90062a8198ac728fc75037437bedccdab1d6eaf"),
         ((szilard_ramp(5.0, 1.0), (0.5, 0.5), 12000, 400, 3,
           EboxParams(gamma0=0.1, eps_c=1.0, beta=1.0)),
-         "52cb316ef5dbdff349a5bd3ca861786f2715fb308a2f4e4ffaa8a7613a52576c"),
+         "0f45040804fbf6494aad51bfe0482111ed99e057dc0c3a3818522cc607798951"),
         ((linear_ramp(8.0, 0.0, 24.0), (1.0, 0.0), 1001, 2500, 7, PARAMS),
          "5b00a1bca3317771044720b7e7bf5ced8dd664962b3d6f0f76278618c4e3f847"),
         ((linear_ramp(8.0, 0.0, 24.0), (1.0, 0.0), 1, 3000, 5, PARAMS),
          "a6f70b8962305f4121b6d1f122505ce0deae35075ad33b80abcb86e5e814e9af"),
         ((szilard_ramp(5.0, 2.0), (0.25, 0.75), 37, 3000, 2**63 - 1, PARAMS),
-         "578720a86b05312f68f4c406c1256a0a2e49083f4c51c6b3db4429c0a00ebe68"),
+         "785e1e0229be94f022f21d8da76ca8305c7f823b7faef5aa3f2d911fcb450e47"),
     ]
 
     @pytest.mark.parametrize("case, digest", GOLDEN,

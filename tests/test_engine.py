@@ -35,6 +35,7 @@ from wcwork import (
     worst_case_work,
 )
 from tests_support import (
+    drawn_protocols,
     enumerate_paths,
     merge_oracle,
     oracle_atoms,
@@ -148,6 +149,18 @@ class TestRecursionMatchesOracle:
             assert_matches_oracle(prot, DiagonalState(rng.dirichlet(np.ones(d))))
             gamma_f, _ = make_thermal_state(prot.final_landscape, prot.beta)
             assert_matches_oracle(reverse_protocol(prot), gamma_f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prot=drawn_protocols())
+    def test_fluctuation_theorems_from_gibbs_on_drawn_protocols(self, prot):
+        # Zf/Z0 reaches e^+-80 at +-20 kT, so the Jarzynski sum is compared
+        # relative to it
+        gamma0, z0 = make_thermal_state(prot.initial, prot.beta)
+        gamma_f, zf = make_thermal_state(prot.final_landscape, prot.beta)
+        fwd = work_distribution(prot, gamma0)
+        rev = work_distribution(reverse_protocol(prot), gamma_f)
+        assert crooks_residual(fwd, rev, z0, zf, prot.beta) < 1e-10
+        assert abs(jarzynski_sum(fwd, prot.beta) / (zf / z0) - 1.0) < 1e-10
 
     def test_electron_box_partial_swap_chain(self):
         # 400 ramp steps, each a partial swap then a level change: 800 steps,

@@ -23,7 +23,7 @@ from wcwork import (
 )
 from wcwork.model import (DB_RTOL, PROB_ATOL, is_column_stochastic,
                           satisfies_detailed_balance)
-from tests_support import column_stochastic_oracle
+from tests_support import column_stochastic_oracle, drawn_protocols
 
 
 def two_level_protocol(delta=1.0, beta=1.0, p_swap=1.0):
@@ -229,6 +229,19 @@ class TestReverseProtocol:
         for s1, s2 in zip(back.steps, prot.steps):
             assert type(s1) is type(s2)
             np.testing.assert_allclose(s1.matrix, s2.matrix, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prot=drawn_protocols())
+    def test_involution_on_drawn_protocols(self, prot):
+        back = reverse_protocol(reverse_protocol(prot))
+        assert back.beta == prot.beta
+        assert back.initial.energies.tobytes() == prot.initial.energies.tobytes()
+        assert len(back.steps) == len(prot.steps)
+        for s1, s2 in zip(back.steps, prot.steps):
+            assert type(s1) is type(s2)
+            assert s1.matrix.tobytes() == s2.matrix.tobytes()
+            if isinstance(s1, HamiltonianChange):
+                assert s1.target.energies.tobytes() == s2.target.energies.tobytes()
 
     def test_reversed_change_transposes_jump(self):
         l0 = EnergyLandscape(np.zeros(2))

@@ -1,7 +1,8 @@
-"""Shared helpers for the test suite, the path-walk oracle, the
-entry-by-entry merge oracle, the first form of the column-stochastic check,
-the subset-by-subset smoothed-D0 oracle, and the stage-by-stage RK4 and
-step-by-step Monte Carlo references for the electron box.
+"""Shared helpers for the test suite, a hypothesis strategy of drawn
+protocols, the path-walk oracle, the entry-by-entry merge oracle, the first
+form of the column-stochastic check, the subset-by-subset smoothed-D0
+oracle, and the stage-by-stage RK4 and step-by-step Monte Carlo references
+for the electron box.
 
 The oracle expands every positive-probability trajectory of a protocol and
 bins the path works in a per-atom loop.  It grows as d^(steps+1), so it only
@@ -13,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from wcwork import (
     EnergyLandscape,
@@ -46,6 +48,38 @@ def random_protocol(rng, d, n_steps, beta):
             hop = partial_swap_hop_matrix(current, beta, rng.random())
             steps.append(Thermalization(hop=hop))
     return Protocol(initial=land, beta=beta, steps=tuple(steps))
+
+
+@st.composite
+def drawn_protocols(draw):
+    """Protocols at beta = 1 with 2-4 levels and 1-6 steps, energies in
+    [-20, 20] kT: level changes whose jump is a drawn mixture of
+    permutations, and partial thermalizations of drawn swap probability.
+
+    Energies lie on a 2^-6 kT grid, so every work is exact and two distinct
+    works lie far beyond the engine's 1e-9 merge tolerance, within which
+    forward and reverse atoms merge at different means.  The swap
+    probability is 0 or at least 1e-6: below that, a hop entry
+    p_swap * Gibbs can fall into the subnormal range, where
+    ``satisfies_detailed_balance`` rejects the library's own hop."""
+    d = draw(st.integers(2, 4))
+    energies = st.lists(st.integers(-1280, 1280), min_size=d, max_size=d).map(
+        lambda k: np.array(k) / 64.0)
+    land = EnergyLandscape(draw(energies))
+    steps, current = [], land
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            perms = draw(st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+            weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(perms),
+                                             max_size=len(perms))))
+            jump = sum(w * np.eye(d)[list(q)] for w, q in zip(weights / weights.sum(), perms))
+            current = EnergyLandscape(draw(energies))
+            steps.append(HamiltonianChange(target=current, jump=jump))
+        else:
+            p_swap = draw(st.just(0.0) | st.floats(1e-6, 1.0))
+            hop = partial_swap_hop_matrix(current, 1.0, p_swap)
+            steps.append(Thermalization(hop=hop))
+    return Protocol(initial=land, beta=1.0, steps=tuple(steps))
 
 
 def enumerate_paths(protocol, rho0):
