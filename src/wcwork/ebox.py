@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +29,8 @@ _JUMP_GRID_DEFAULTS = {1: 200, 2: 80, 3: 40}
 _JUMP_GRID_FALLBACK = 24
 _SERIES_REMAINDER_TOL = 0.05
 _RATE_INTEGRAL_NODES = 4001
-# memory bounds of the Monte Carlo: at most this many rows of trajectories,
-# and at most this many uniforms held at once over all threads (16 rows at
-# least)
-_MC_CHUNK_ROWS = 4096
-_MC_SCRATCH_FLOATS = 2**22
-_MC_THREAD_MIN_STEPS = 600  # rows this long are drawn on two threads
+# trajectories per Monte Carlo stream: part of the streams' definition
+_MC_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -231,21 +226,21 @@ def constant_relaxation_p0(eps: float, t, p0_initial: float, params: EboxParams)
 
 
 def _swap_schedule(ramp: Ramp, n_steps: int, params: EboxParams):
-    """The partial-swap chain's uniform grid, with the swap probability and
-    the Gibbs excited occupation g1 at every step start, and the splitting
-    increments over the steps."""
+    """The partial-swap chain's uniform grid and the splitting on it, with
+    the swap probability and the Gibbs excited occupation g1 at every step
+    start."""
     grid = np.linspace(0.0, ramp.tau, n_steps + 1)
     eps = ramp(grid)
     psw = np.asarray(swap_probability(eps[:-1], ramp.tau / n_steps, params))
     g1 = gibbs_occupations(eps[:-1], params.beta)[1]
-    return grid, psw, g1, np.diff(eps)
+    return grid, eps, psw, g1
 
 
 def partial_swap_chain(ramp: Ramp, p0, n_steps: int, params: EboxParams):
     """Occupations under the discrete chain of partial-swap matrices with a
     uniform step; first-order-in-dt image of the master equation."""
     p, q = _initial_pair(p0).tolist()
-    grid, psw, g1, _ = _swap_schedule(ramp, n_steps, params)
+    grid, _, psw, g1 = _swap_schedule(ramp, n_steps, params)
     occ = np.empty((n_steps + 1, 2))
     occ[0] = p, q
     for k, (sw, g) in enumerate(zip(psw.tolist(), g1.tolist()), start=1):
@@ -298,43 +293,36 @@ def _check_seed(seed, n_keys: int = 1) -> None:
             f"seed must be an integer in [0, 2**64 - {n_keys}], got {seed!r}")
 
 
-def _sample_block(lo, hi, works, finals, seed, start, psw, g1, deps, rows):
-    """Sample trajectories lo..hi-1, at most ``rows`` at a time, into
-    ``works`` and ``finals``.  The generator and scratch are its own; each
-    trajectory resets the stream."""
-    n = psw.size
-    rows = min(rows, hi - lo)
-    draws = np.empty((rows, 2 * n + 1))
-    # column 0: the initial level; column k: 2 k + (Gibbs level) if step k-1
-    # swaps, else 0, so the running maximum encodes the last swap's level
-    enc = np.empty((rows, n + 1), dtype=np.int32)
-    mask = np.empty((rows, n), dtype=bool)
-    two_k = np.arange(2, 2 * n + 2, 2, dtype=np.int32)
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state  # zero counter, empty buffer: a newly keyed stream
-    key = fresh["state"]["key"]
-    for a in range(lo, hi, rows):
-        c = min(rows, hi - a)
-        u, e, m = draws[:c], enc[:c], mask[:c]
-        for i in range(c):
-            key[1] = a + i
-            bitgen.state = fresh
-            gen.random(out=u[i])
-        np.greater_equal(u[:, 0], start[0], out=e[:, 0])  # 1 with prob p1
-        np.less(u[:, n + 1:], g1, out=m)
-        np.add(two_k, m, out=e[:, 1:])
-        np.less(u[:, 1:n + 1], psw, out=m)  # swap
-        np.multiply(e[:, 1:], m, out=e[:, 1:])
-        np.maximum.accumulate(e, axis=1, out=e)
-        # the level after each step, over the draws, which are all read
-        s = draws.reshape(-1)[:c * n].reshape(c, n)
-        np.bitwise_and(e[:, 1:], 1, out=s)
-        finals[a:a + c] = s[:, -1]
-        # each row summed on its own, pairwise and never by BLAS, so no bit
-        # of a work depends on the chunk, the thread or BLAS's thread count
-        np.multiply(s, deps, out=s)
-        np.add.reduce(s, axis=1, out=works[a:a + c])
+def _sample_block(seed, block, m, p0, hazard, cap, g1, eps):
+    """Works and final levels of the ``m`` trajectories of one block, drawn
+    from the block's own Philox keyed (seed, block): the initial levels,
+    then per round one exponential for every live trajectory and one
+    uniform, the new Gibbs level, for every trajectory that swaps.  The
+    rounds walk the live trajectories in index order, one swap each."""
+    gen = np.random.Generator(
+        np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+    n = g1.size
+    works, finals = np.empty(m), np.empty(m, dtype=np.int8)
+    live = np.arange(m)
+    level = gen.random(m) >= p0  # 1 with probability p1
+    frm = np.zeros(m, dtype=np.intp)  # the first step the next swap may take
+    acc, at = np.zeros(m), np.full(m, eps[0])  # work so far, eps where it stops
+    while live.size:
+        # the swap step k: H_k <= H_frm + e < H_{k+1}, or the next certain swap
+        x = hazard[frm]
+        x += gen.standard_exponential(live.size)
+        k = np.searchsorted(hazard, x, side="right") - 1
+        np.minimum(k, cap[frm], out=k)
+        e_k = eps[k]
+        acc += level * (e_k - at)  # the level held since its last swap
+        done = k >= n
+        if done.any():
+            works[live[done]], finals[live[done]] = acc[done], level[done]
+            keep = ~done
+            live, k, e_k, acc = live[keep], k[keep], e_k[keep], acc[keep]
+        level = gen.random(live.size) < g1[k]
+        frm, at = k + 1, e_k
+    return works, finals
 
 
 def monte_carlo_work(
@@ -345,43 +333,40 @@ def monte_carlo_work(
     seed: int,
     params: EboxParams,
 ) -> WorkSamples:
-    """Sample trajectories with the partial-swap update.
+    """Sample trajectories of the partial-swap chain.
 
     Per step: with probability p_sw(t) the level is resampled from the
     instantaneous Gibbs state, then the splitting moves and the occupied level
-    accrues work sigma * d(eps), summed in a fixed order per trajectory.
-    Trajectory i draws from its own counter-based stream, Philox keyed by
-    (seed, i), so every bit of the output is independent of the chunking,
-    of the split across threads and of BLAS.  ``seed`` is an integer in
-    [0, 2**64).
-    Rows of at least ``_MC_THREAD_MIN_STEPS`` steps are drawn on two threads,
-    each owning half of the trajectories, when the process may use two CPUs.
+    accrues work sigma * d(eps).  The sampler draws no "no swap" steps: from
+    step m the next swap is the first step k with H_{k+1} - H_m > e, where
+    H_k = -sum_{j<k} log(1 - p_j) is the cumulative hazard and e ~ Exp(1)
+    (a step with p_sw >= 1 always swaps).  A trajectory's work adds, per
+    stretch between swaps, its level times the splitting's change.
+
+    Trajectories come in blocks of ``_MC_BLOCK``; block b draws from Philox
+    keyed (seed, b), so a block's samples depend only on the seed, its index
+    and its trajectory count.  ``seed`` is an integer in [0, 2**64).
     """
     if n_traj < 1 or n_steps < 1:
         raise InvalidInputError("n_traj and n_steps must be >= 1")
     _check_seed(seed)
     start = _initial_pair(rho0)
-    _, psw, g1, deps = _swap_schedule(ramp, n_steps, params)
+    _, eps, psw, g1 = _swap_schedule(ramp, n_steps, params)
+
+    certain = psw >= 1.0  # swap_probability allows 1 + 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.where(certain, 0.0, -np.log1p(-psw))
+    hazard = np.concatenate([[0.0], np.cumsum(rate)])
+    # cap[m]: the first certain swap at or after step m, else n_steps
+    cap = np.where(certain, np.arange(n_steps), n_steps)
+    cap = np.minimum.accumulate(np.append(cap, n_steps)[::-1])[::-1]
 
     works = np.empty(n_traj)
     finals = np.empty(n_traj, dtype=np.int8)
-    rows = max(16, min(_MC_CHUNK_ROWS, _MC_SCRATCH_FLOATS // (2 * n_steps + 1)))
-    n_threads = 1
-    if n_steps >= _MC_THREAD_MIN_STEPS:
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        n_threads = min(2, n_traj, cpus)
-    # the threads split one budget of uniforms
-    args = (works, finals, seed, start, psw, g1, deps, -(-rows // n_threads))
-    if n_threads == 1:
-        _sample_block(0, n_traj, *args)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only long rows use it
-        mid = -(-n_traj // 2)
-        with ThreadPoolExecutor(1) as pool:
-            upper = pool.submit(_sample_block, mid, n_traj, *args)
-            _sample_block(0, mid, *args)
-            upper.result()
+    for b, a in enumerate(range(0, n_traj, _MC_BLOCK)):
+        c = min(_MC_BLOCK, n_traj - a)
+        works[a:a + c], finals[a:a + c] = _sample_block(
+            seed, b, c, start[0], hazard, cap, g1, eps)
     return WorkSamples(samples=works, final_levels=finals, seed=seed, n=n_traj)
 
 

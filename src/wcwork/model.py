@@ -10,6 +10,7 @@ vectors are columns and evolve as ``p' = M @ p``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -19,6 +20,7 @@ from .errors import InvalidInputError
 
 PROB_ATOL = 1e-12
 DB_RTOL = 1e-10
+_ULP_MIN = 2.0**-1074  # the spacing of the subnormal doubles
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -47,7 +49,9 @@ def satisfies_detailed_balance(m: np.ndarray, landscape: "EnergyLandscape",
     DB_RTOL wherever both entries are > 0.
 
     The ratio is compared in log space, so no Boltzmann factor is formed and
-    none can overflow or underflow at extreme energies.
+    none can overflow or underflow at extreme energies.  A subnormal entry x
+    is only known to within its spacing 2**-1074, so it widens the tolerance
+    by 2**-1074 / x, its rounding in log space.
     """
     m = np.asarray(m, dtype=float).tolist()
     e = landscape.energies.tolist()
@@ -57,9 +61,18 @@ def satisfies_detailed_balance(m: np.ndarray, landscape: "EnergyLandscape",
         for j in range(i + 1, d):
             if m[j][i] > 0 and m[i][j] > 0:
                 gap = math.log(m[j][i]) - math.log(m[i][j]) + beta * (e[j] - e[i])
-                if abs(gap) > tol:
+                # the subnormal slack is only worked out for a gap beyond
+                # the plain tolerance, which keeps it off the common path
+                if abs(gap) > tol and abs(gap) > tol + _subnormal_rounding(
+                        m[j][i]) + _subnormal_rounding(m[i][j]):
                     return False
     return True
+
+
+def _subnormal_rounding(x: float) -> float:
+    """The relative rounding of a positive double: 2**-1074 / x below the
+    normal range, where the spacing is 2**-1074, and 0 above it."""
+    return _ULP_MIN / x if x < sys.float_info.min else 0.0
 
 
 @dataclass(frozen=True)

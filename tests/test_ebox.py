@@ -17,6 +17,7 @@ from wcwork import ebox
 from wcwork import (
     ConvergenceError,
     CrooksCheck,
+    DiagonalState,
     EboxParams,
     InvalidInputError,
     NumericError,
@@ -40,9 +41,10 @@ from wcwork import (
     szilard_ramp,
     szilard_sweep,
     tunneling_rate,
+    work_distribution,
 )
 
-from tests_support import closure_rk4_z, step_by_step_monte_carlo
+from tests_support import closure_rk4_z, partial_swap_chain_protocol
 
 PARAMS = EboxParams(gamma0=1.0, eps_c=1.0, beta=1.0)
 
@@ -195,40 +197,16 @@ def _digest(dist):
 
 
 class TestMonteCarlo:
-    def test_reproducible_across_chunks_and_threads(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        ramp = linear_ramp(0.0, 2.0, 1.0)
-        kw = dict(rho0=np.array([0.7, 0.3]), n_traj=500, n_steps=50,
-                  seed=42, params=PARAMS)
-        one_block = monte_carlo_work(ramp, **kw)
-        runs = []
-        for scratch, min_steps in ((1, 10**9), (2**22, 1), (1, 1)):
-            # 16-row chunks, one 500-row chunk on two threads, or both
-            monkeypatch.setattr(ebox, "_MC_SCRATCH_FLOATS", scratch)
-            monkeypatch.setattr(ebox, "_MC_THREAD_MIN_STEPS", min_steps)
-            runs.append(monte_carlo_work(ramp, **kw))
-        for dist in runs:
-            np.testing.assert_array_equal(dist.samples, one_block.samples)
-            np.testing.assert_array_equal(dist.final_levels, one_block.final_levels)
-
-    def test_threads_keep_every_bit_on_a_kinked_ramp(self, monkeypatch):
-        # a kinked ramp rounds its works differently under any other order
-        # of summation, so it shows a sum that depends on the layout; an odd
-        # n_traj gives the two threads unequal halves
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        for tau, n_traj, n_steps in ((1.0, 203, 300), (2.0, 2001, 3000)):
-            kw = dict(ramp=szilard_ramp(5.0, tau), rho0=np.array([0.5, 0.5]),
-                      n_traj=n_traj, n_steps=n_steps, seed=8, params=PARAMS)
-            monkeypatch.setattr(ebox, "_MC_SCRATCH_FLOATS", 2**22)
-            monkeypatch.setattr(ebox, "_MC_THREAD_MIN_STEPS", 10**9)
-            one = monte_carlo_work(**kw)
-            for scratch, min_steps in ((2**22, 1), (1, 10**9), (1, 1)):
-                # one chunk on two threads, 16-row chunks, or both
-                monkeypatch.setattr(ebox, "_MC_SCRATCH_FLOATS", scratch)
-                monkeypatch.setattr(ebox, "_MC_THREAD_MIN_STEPS", min_steps)
-                dist = monte_carlo_work(**kw)
-                np.testing.assert_array_equal(dist.samples, one.samples)
-                np.testing.assert_array_equal(dist.final_levels, one.final_levels)
+    def test_block_layout_is_exact(self):
+        # block b reads the stream keyed (seed, b) and nothing else, so the
+        # first blocks of a larger run are the whole of a smaller one
+        kw = dict(ramp=szilard_ramp(5.0, 2.0), rho0=np.array([0.5, 0.5]),
+                  n_steps=300, seed=8, params=PARAMS)
+        runs = {n: monte_carlo_work(n_traj=n, **kw) for n in (4096, 8192, 8193)}
+        for small, large in ((4096, 8192), (8192, 8193)):
+            np.testing.assert_array_equal(runs[large].samples[:small], runs[small].samples)
+            np.testing.assert_array_equal(runs[large].final_levels[:small],
+                                          runs[small].final_levels)
 
     def test_no_bit_depends_on_blas_threads(self):
         script = ("import hashlib, numpy as np\n"
@@ -247,20 +225,20 @@ class TestMonteCarlo:
             digests.add(run.stdout)
         assert len(digests) == 1
 
-    # sha256 of samples + final levels; the cases whose works moved when
-    # each work became a pairwise sum of its own row were re-taken then
+    # sha256 of samples + final levels, taken when the event sampler on
+    # 4,096-trajectory blocks became the stream
     GOLDEN = [
         ((linear_ramp(0.0, 2.0, 1.0), (0.7, 0.3), 500, 50, 42, PARAMS),
-         "33e1c3fdff7a41b63daa6d7ee90062a8198ac728fc75037437bedccdab1d6eaf"),
+         "eaec8109bfc9943b260ef7f88ba448900de5e992fb5191da7e60b49b149fb1f4"),
         ((szilard_ramp(5.0, 1.0), (0.5, 0.5), 12000, 400, 3,
           EboxParams(gamma0=0.1, eps_c=1.0, beta=1.0)),
-         "0f45040804fbf6494aad51bfe0482111ed99e057dc0c3a3818522cc607798951"),
+         "e7c449b805cfc5324c81aad21435a5dee0dd1f9afceeaa70401ba77703c6af59"),
         ((linear_ramp(8.0, 0.0, 24.0), (1.0, 0.0), 1001, 2500, 7, PARAMS),
-         "5b00a1bca3317771044720b7e7bf5ced8dd664962b3d6f0f76278618c4e3f847"),
+         "3421eab8845ebfaa085f20387f26edbe54721caa35d4c43e53ecb41cbe6b02ba"),
         ((linear_ramp(8.0, 0.0, 24.0), (1.0, 0.0), 1, 3000, 5, PARAMS),
-         "a6f70b8962305f4121b6d1f122505ce0deae35075ad33b80abcb86e5e814e9af"),
+         "c3848accee9700842ad037f930392d40ceb8c2ea7ea14cf0d3a505fc64c2a238"),
         ((szilard_ramp(5.0, 2.0), (0.25, 0.75), 37, 3000, 2**63 - 1, PARAMS),
-         "785e1e0229be94f022f21d8da76ca8305c7f823b7faef5aa3f2d911fcb450e47"),
+         "e95a4a90789baba6837070465a0e69b3b35b259d3a2d39cf548ca2749cadcb4a"),
     ]
 
     @pytest.mark.parametrize("case, digest", GOLDEN,
@@ -270,13 +248,68 @@ class TestMonteCarlo:
         dist = monte_carlo_work(ramp, np.array(rho0), n_traj, n_steps, seed, params)
         assert _digest(dist) == digest
 
-    @pytest.mark.parametrize("seed", [0, 2**63 + 1, 2**64 - 1])
-    def test_matches_step_by_step_chain(self, seed):
-        ramp, rho0 = szilard_ramp(4.0, 3.0), np.array([0.4, 0.6])
-        dist = monte_carlo_work(ramp, rho0, 5, 1200, seed, PARAMS)
-        works, finals = step_by_step_monte_carlo(ramp, rho0, 5, 1200, seed, PARAMS)
-        np.testing.assert_allclose(dist.samples, works, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(dist.final_levels, finals)
+    # linear, up-down and four-knot ramps whose works lie on a lattice, so
+    # the exact chain law has a few hundred atoms
+    CHAIN_RAMPS = [linear_ramp(0.0, 4.0, 3.0), szilard_ramp(4.0, 3.0),
+                   Ramp([0.0, 1.0, 2.0, 3.0], [0.0, 3.0, 1.0, 4.0])]
+
+    @pytest.mark.parametrize("ramp", CHAIN_RAMPS, ids=["linear", "up-down", "four-knot"])
+    def test_law_matches_exact_chain(self, ramp):
+        rho0, n_traj, n_steps = np.array([0.7, 0.3]), 20000, 300
+        dist = monte_carlo_work(ramp, rho0, n_traj, n_steps, 4242, PARAMS)
+        atoms = work_distribution(partial_swap_chain_protocol(ramp, n_steps, PARAMS),
+                                  DiagonalState(rho0)).atoms
+        w, cdf = atoms[:, 0], np.cumsum(atoms[:, 1])
+        x = np.sort(dist.samples)
+        half_gap = np.diff(w).min() / 2
+        # every sample lies on an atom, and the CDFs meet between atoms
+        near = np.clip(np.searchsorted(w, x), 1, w.size - 1)
+        assert np.all(np.minimum(x - w[near - 1], w[near] - x) <= 1e-9)
+        ks = np.abs(np.searchsorted(x, w + half_gap) / n_traj - cdf).max()
+        assert ks * math.sqrt(n_traj) < 1.63
+        _, occ = partial_swap_chain(ramp, rho0, n_steps, PARAMS)
+        q = occ[-1, 1]
+        assert abs(dist.final_levels.mean() - q) < 4 * math.sqrt(q * (1 - q) / n_traj)
+
+    def test_certain_swap_at_every_step(self):
+        # p_sw = 1 to within 1e-12: every step swaps, so the run ends with
+        # the last step's Gibbs level, 1 with probability 1/2
+        ramp = linear_ramp(0.0, 1e-9, 1.0)
+        assert swap_probability(ramp(0.5), 0.5, PARAMS) == pytest.approx(1.0, abs=1e-12)
+        n = 20000
+        dist = monte_carlo_work(ramp, np.array([1.0, 0.0]), n, 2, 3, PARAMS)
+        assert abs(dist.final_levels.mean() - 0.5) < 4 * math.sqrt(0.25 / n)
+        # each step's 5e-10 rise is paid by the level drawn at that step
+        quanta = dist.samples / 5e-10
+        np.testing.assert_allclose(quanta, np.round(quanta), atol=1e-6)
+        assert set(np.round(quanta).tolist()) == {0.0, 1.0, 2.0}
+
+    def test_certain_swaps_between_uncertain_steps(self, monkeypatch):
+        # certain swaps (one of them just above 1) cut the hazard into pieces,
+        # with steps that never swap between them
+        pattern = np.array([0.3, 1.0, 0.0, 0.6, 1.0 + 1e-13, 0.2, 0.0, 0.0])
+        monkeypatch.setattr(ebox, "swap_probability", lambda eps, dt, params: pattern)
+        ramp, rho0, n = szilard_ramp(2.0, 1.0), np.array([0.9, 0.1]), 40000
+        dist = monte_carlo_work(ramp, rho0, n, pattern.size, 6, PARAMS)
+        grid, occ = partial_swap_chain(ramp, rho0, pattern.size, PARAMS)
+        q = occ[-1, 1]
+        assert abs(dist.final_levels.mean() - q) < 4 * math.sqrt(q * (1 - q) / n)
+        # the mean work: each step's change times the level after its swap
+        mean = float(np.dot(occ[1:, 1], np.diff(ramp(grid))))
+        assert abs(dist.mean() - mean) < 4 * dist.samples.std() / math.sqrt(n)
+
+    def test_single_step_and_single_trajectory(self):
+        ramp = linear_ramp(1.0, 3.0, 0.25)
+        n = 20000
+        dist = monte_carlo_work(ramp, np.array([0.6, 0.4]), n, 1, 5, PARAMS)
+        _, occ = partial_swap_chain(ramp, np.array([0.6, 0.4]), 1, PARAMS)
+        q = occ[-1, 1]
+        assert abs(dist.final_levels.mean() - q) < 4 * math.sqrt(q * (1 - q) / n)
+        np.testing.assert_array_equal(dist.samples, 2.0 * dist.final_levels)
+        one = monte_carlo_work(szilard_ramp(4.0, 3.0), np.array([0.4, 0.6]), 1, 1200,
+                               2**64 - 1, PARAMS)
+        assert one.samples.shape == one.final_levels.shape == (1,)
+        assert one.final_levels[0] in (0, 1) and np.isfinite(one.samples[0])
 
     def test_concurrent_calls_match_sequential_ones(self):
         cases = [(szilard_ramp(5.0, 2.0), 37, 3000, 11),
@@ -640,13 +673,13 @@ class TestSweep:
         rows = szilard_sweep([8.0, 16.0], (0.1, 0.5), 4.0, 300, 400, 13, PARAMS)
         assert [tuple(x.hex() for x in row) for row in rows] == [
             ("0x1.0000000000000p-3", "0x1.999999999999ap-4",
-             "0x1.eb851eb851ec0p-4", "0x1.111111111110bp-5"),
+             "0x1.99999999999a0p-4", "0x1.eb851eb851eabp-6"),
             ("0x1.0000000000000p-3", "0x1.0000000000000p-1",
-             "0x1.1eb851eb851e8p-1", "0x1.7e4b17e4b17ebp-6"),
+             "0x1.0a3d70a3d70a4p-1", "0x1.eb851eb851ec0p-6"),
             ("0x1.0000000000000p-4", "0x1.999999999999ap-4",
-             "0x1.1eb851eb851e8p-2", "0x1.9999999999995p-6"),
+             "0x1.ffffffffffff0p-3", "0x1.1111111111115p-5"),
             ("0x1.0000000000000p-4", "0x1.0000000000000p-1",
-             "0x1.3851eb851eb88p-1", "0x1.62fc962fc9615p-6"),
+             "0x1.3851eb851eb84p-1", "0x1.2c5f92c5f92d5p-6"),
         ]
 
     def test_tolerance_validation(self):

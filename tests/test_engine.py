@@ -1,11 +1,12 @@
 """Tests for the exact work recursion and work-distribution utilities."""
 
 import math
+import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from wcwork import (
@@ -29,7 +30,6 @@ from wcwork import (
     make_thermal_state,
     partial_swap_hop_matrix,
     reverse_protocol,
-    swap_probability,
     variation_distance,
     work_distribution,
     worst_case_work,
@@ -39,6 +39,7 @@ from tests_support import (
     enumerate_paths,
     merge_oracle,
     oracle_atoms,
+    partial_swap_chain_protocol,
     random_protocol,
     trajectory_work,
 )
@@ -150,7 +151,7 @@ class TestRecursionMatchesOracle:
             gamma_f, _ = make_thermal_state(prot.final_landscape, prot.beta)
             assert_matches_oracle(reverse_protocol(prot), gamma_f)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(prot=drawn_protocols())
     def test_fluctuation_theorems_from_gibbs_on_drawn_protocols(self, prot):
         # Zf/Z0 reaches e^+-80 at +-20 kT, so the Jarzynski sum is compared
@@ -159,25 +160,26 @@ class TestRecursionMatchesOracle:
         gamma_f, zf = make_thermal_state(prot.final_landscape, prot.beta)
         fwd = work_distribution(prot, gamma0)
         rev = work_distribution(reverse_protocol(prot), gamma_f)
-        assert crooks_residual(fwd, rev, z0, zf, prot.beta) < 1e-10
         assert abs(jarzynski_sum(fwd, prot.beta) / (zf / z0) - 1.0) < 1e-10
+        # a log ratio holds 1e-10 only between normal doubles: a subnormal
+        # one carries its spacing 2^-1074 as rounding, and a partner below it
+        # is 0.  Crooks puts the partner of p at w at p e^(-beta w) Z0/Zf, so
+        # the clause is skipped only where that mass or p itself underflows;
+        # a partner missing from the reverse distribution still fails it
+        if np.all(fwd.probs >= sys.float_info.min):
+            partner = np.log(fwd.probs) - prot.beta * fwd.works - math.log(zf / z0)
+            if np.all(partner >= math.log(sys.float_info.min)):
+                event("Crooks clause run")
+                assert crooks_residual(fwd, rev, z0, zf, prot.beta) < 1e-10
+                return
+        event("Crooks clause skipped: a probability underflows")
 
     def test_electron_box_partial_swap_chain(self):
         # 400 ramp steps, each a partial swap then a level change: 800 steps,
         # 2^801 paths, and one atom per count of excited-level steps
         params = EboxParams(gamma0=1.0, eps_c=1.0, beta=1.0)
-        ramp = linear_ramp(8.0, 0.0, 48.0)
         n = 400
-        dt = ramp.tau / n
-        eps = ramp(np.linspace(0.0, ramp.tau, n + 1))
-        lands = [EnergyLandscape(np.array([0.0, e])) for e in eps]
-        steps = []
-        for k in range(n):
-            p_swap = swap_probability(eps[k], dt, params)
-            steps.append(Thermalization(
-                hop=partial_swap_hop_matrix(lands[k], 1.0, p_swap)))
-            steps.append(HamiltonianChange(target=lands[k + 1], jump=np.eye(2)))
-        prot = Protocol(initial=lands[0], beta=1.0, steps=tuple(steps))
+        prot = partial_swap_chain_protocol(linear_ramp(8.0, 0.0, 48.0), n, params)
         t0 = time.perf_counter()
         gamma0, z0 = make_thermal_state(prot.initial, 1.0)
         gamma_f, zf = make_thermal_state(prot.final_landscape, 1.0)

@@ -1,6 +1,7 @@
 """Tests for the protocol/state data model."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -126,6 +127,19 @@ class TestStepValidation:
             up = 0.5 * math.exp(-2.0) * (1 + rel)
             hop = np.array([[1 - up, 0.5], [up, 0.5]])
             assert satisfies_detailed_balance(hop, land, 1.0) is ok
+
+    def test_subnormal_hop_entries(self):
+        # p_swap = 1e-310 puts both off-diagonal entries of the library's own
+        # hop below the normal range; each widens the tolerance only by its
+        # own rounding, so a subnormal pair of the wrong ratio still fails
+        land = EnergyLandscape(np.array([0.0, 20.0]))
+        hop = partial_swap_hop_matrix(land, 1.0, 1e-310)
+        assert 0 < hop[1, 0] < hop[0, 1] < sys.float_info.min
+        Protocol(initial=land, beta=1.0, steps=(Thermalization(hop=hop),))
+        wrong = np.array([[1.0, 1e-310], [1e-310, 1.0]])
+        assert not satisfies_detailed_balance(wrong, land, 1.0)
+        with pytest.raises(InvalidInputError, match="detailed balance"):
+            Protocol(initial=land, beta=1.0, steps=(Thermalization(hop=wrong),))
 
     def test_protocol_rejects_detailed_balance_violation(self):
         l0 = EnergyLandscape(np.array([0.0, 1.0]))

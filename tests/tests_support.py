@@ -1,8 +1,8 @@
 """Shared helpers for the test suite, a hypothesis strategy of drawn
 protocols, the path-walk oracle, the entry-by-entry merge oracle, the first
 form of the column-stochastic check, the subset-by-subset smoothed-D0
-oracle, and the stage-by-stage RK4 and step-by-step Monte Carlo references
-for the electron box.
+oracle, the stage-by-stage RK4 reference for the electron box, and the
+electron box's partial-swap chain as a discrete protocol.
 
 The oracle expands every positive-probability trajectory of a protocol and
 bins the path works in a per-atom loop.  It grows as d^(steps+1), so it only
@@ -22,7 +22,6 @@ from wcwork import (
     Protocol,
     Thermalization,
     d_zero,
-    gibbs_occupations,
     partial_swap_hop_matrix,
     swap_probability,
     tunneling_rate,
@@ -59,9 +58,8 @@ def drawn_protocols(draw):
     Energies lie on a 2^-6 kT grid, so every work is exact and two distinct
     works lie far beyond the engine's 1e-9 merge tolerance, within which
     forward and reverse atoms merge at different means.  The swap
-    probability is 0 or at least 1e-6: below that, a hop entry
-    p_swap * Gibbs can fall into the subnormal range, where
-    ``satisfies_detailed_balance`` rejects the library's own hop."""
+    probability is 0, at least 1e-6, or at most 1e-300, where a hop entry
+    p_swap * Gibbs falls into the subnormal range or to zero."""
     d = draw(st.integers(2, 4))
     energies = st.lists(st.integers(-1280, 1280), min_size=d, max_size=d).map(
         lambda k: np.array(k) / 64.0)
@@ -76,7 +74,8 @@ def drawn_protocols(draw):
             current = EnergyLandscape(draw(energies))
             steps.append(HamiltonianChange(target=current, jump=jump))
         else:
-            p_swap = draw(st.just(0.0) | st.floats(1e-6, 1.0))
+            p_swap = draw(st.just(0.0) | st.floats(1e-6, 1.0)
+                          | st.floats(2.0**-1074, 1e-300))
             hop = partial_swap_hop_matrix(current, 1.0, p_swap)
             steps.append(Thermalization(hop=hop))
     return Protocol(initial=land, beta=1.0, steps=tuple(steps))
@@ -210,26 +209,21 @@ def closure_rk4_z(xi, ramp, rho0, n_steps, params):
     return float(phi.sum())
 
 
-def step_by_step_monte_carlo(ramp, p0, n_traj, n_steps, seed, params):
-    """Works and final levels of the partial-swap chain, one trajectory and
-    one step at a time.  Trajectory i reads a fresh Philox keyed
-    (seed, i): the initial level (1 if u >= p0[0]), then n_steps swap draws,
-    then n_steps Gibbs draws; the works are summed in step order."""
+def partial_swap_chain_protocol(ramp, n_steps, params):
+    """The electron box's partial-swap chain as a discrete ``Protocol``: per
+    step of the uniform grid, a partial swap at the step's starting
+    splitting, then the level change to the next splitting.  Its work
+    distribution is the exact law of ``monte_carlo_work``'s samples."""
+    dt = ramp.tau / n_steps
     eps = ramp(np.linspace(0.0, ramp.tau, n_steps + 1))
-    psw = swap_probability(eps[:-1], ramp.tau / n_steps, params)
-    g1 = gibbs_occupations(eps[:-1], params.beta)[1]
-    works, finals = [], []
-    for i in range(n_traj):
-        key = np.array([seed, i], dtype=np.uint64)
-        u = np.random.Generator(np.random.Philox(key=key)).random(2 * n_steps + 1)
-        level, w = int(u[0] >= p0[0]), 0.0
-        for k in range(n_steps):
-            if u[1 + k] < psw[k]:
-                level = int(u[1 + n_steps + k] < g1[k])
-            w += level * (eps[k + 1] - eps[k])
-        works.append(w)
-        finals.append(level)
-    return np.array(works), np.array(finals, dtype=np.int8)
+    lands = [EnergyLandscape(np.array([0.0, e])) for e in eps]
+    steps = []
+    for k in range(n_steps):
+        p_swap = swap_probability(eps[k], dt, params)
+        steps.append(Thermalization(
+            hop=partial_swap_hop_matrix(lands[k], params.beta, p_swap)))
+        steps.append(HamiltonianChange(target=lands[k + 1], jump=np.eye(2)))
+    return Protocol(initial=lands[0], beta=params.beta, steps=tuple(steps))
 
 
 def exhaustive_smooth_d_zero(rho, sigma, eps):
