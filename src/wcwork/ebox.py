@@ -150,9 +150,9 @@ def swap_probability(eps, dt: float, params: EboxParams):
 def gibbs_occupations(eps, beta: float):
     """(p0, p1) of the instantaneous Gibbs state at splitting eps."""
     eps = np.asarray(eps, dtype=float)
-    with np.errstate(over="ignore"):  # exp -> inf gives the exact limit p1 = 0
+    with np.errstate(over="ignore"):  # exp -> inf gives the exact limits 0
         p1 = 1.0 / (1.0 + np.exp(beta * eps))
-    return 1.0 - p1, p1
+        return 1.0 / (1.0 + np.exp(-beta * eps)), p1
 
 
 def _initial_pair(rho0) -> np.ndarray:
@@ -227,25 +227,24 @@ def constant_relaxation_p0(eps: float, t, p0_initial: float, params: EboxParams)
 
 def _swap_schedule(ramp: Ramp, n_steps: int, params: EboxParams):
     """The partial-swap chain's uniform grid and the splitting on it, with
-    the swap probability and the Gibbs excited occupation g1 at every step
+    the swap probability and the Gibbs occupations (g0, g1) at every step
     start."""
     grid = np.linspace(0.0, ramp.tau, n_steps + 1)
     eps = ramp(grid)
     psw = np.asarray(swap_probability(eps[:-1], ramp.tau / n_steps, params))
-    g1 = gibbs_occupations(eps[:-1], params.beta)[1]
-    return grid, eps, psw, g1
+    return grid, eps, psw, gibbs_occupations(eps[:-1], params.beta)
 
 
 def partial_swap_chain(ramp: Ramp, p0, n_steps: int, params: EboxParams):
     """Occupations under the discrete chain of partial-swap matrices with a
     uniform step; first-order-in-dt image of the master equation."""
     p, q = _initial_pair(p0).tolist()
-    grid, _, psw, g1 = _swap_schedule(ramp, n_steps, params)
+    grid, _, psw, (g0, g1) = _swap_schedule(ramp, n_steps, params)
     occ = np.empty((n_steps + 1, 2))
     occ[0] = p, q
-    for k, (sw, g) in enumerate(zip(psw.tolist(), g1.tolist()), start=1):
-        p = (1.0 - sw) * p + sw * (1.0 - g)
-        q = (1.0 - sw) * q + sw * g
+    for k, (sw, a, b) in enumerate(zip(psw.tolist(), g0.tolist(), g1.tolist()), start=1):
+        p = (1.0 - sw) * p + sw * a
+        q = (1.0 - sw) * q + sw * b
         occ[k] = p, q
     return grid, occ
 
@@ -293,7 +292,31 @@ def _check_seed(seed, n_keys: int = 1) -> None:
             f"seed must be an integer in [0, 2**64 - {n_keys}], got {seed!r}")
 
 
-def _sample_block(seed, block, m, p0, hazard, cap, g1, eps):
+def _hazard_index(hazard):
+    """x -> searchsorted(hazard, x, side="right") - 1 for x >= hazard[0] >= 0
+    on a non-decreasing hazard, by a guide table over its distinct values
+    (Chen & Asau 1974; Devroye 1986, III.2.4): buckets half the smallest
+    positive increment wide hold one value each, so a lookup reads the table
+    and compares once.  Past 8 buckets per node, a binary search."""
+    ends = np.flatnonzero(np.append(hazard[1:] > hazard[:-1], True))  # run ends
+    top = np.append(hazard[ends], np.inf)
+    with np.errstate(over="ignore"):  # inf past the double range: no table
+        inv = 2.0 / np.diff(top[:-1]).min(initial=np.inf)
+        last = top[-2] * inv
+    if not last < 8 * hazard.size:
+        return lambda x: np.searchsorted(hazard, x, side="right") - 1
+    last = int(last)  # guide[j]: the last value in a bucket below j
+    guide = np.searchsorted((top[:-1] * inv).astype(np.intp), np.arange(last + 1)) - 1
+
+    def index(x):
+        k = guide[np.minimum(x * inv, last).astype(np.intp)]
+        k += top[k + 1] <= x
+        return ends[k]
+
+    return index
+
+
+def _sample_block(seed, block, m, p0, index, hazard, cap, g1, eps):
     """Works and final levels of the ``m`` trajectories of one block, drawn
     from the block's own Philox keyed (seed, block): the initial levels,
     then per round one exponential for every live trajectory and one
@@ -311,7 +334,7 @@ def _sample_block(seed, block, m, p0, hazard, cap, g1, eps):
         # the swap step k: H_k <= H_frm + e < H_{k+1}, or the next certain swap
         x = hazard[frm]
         x += gen.standard_exponential(live.size)
-        k = np.searchsorted(hazard, x, side="right") - 1
+        k = index(x)
         np.minimum(k, cap[frm], out=k)
         e_k = eps[k]
         acc += level * (e_k - at)  # the level held since its last swap
@@ -351,12 +374,13 @@ def monte_carlo_work(
         raise InvalidInputError("n_traj and n_steps must be >= 1")
     _check_seed(seed)
     start = _initial_pair(rho0)
-    _, eps, psw, g1 = _swap_schedule(ramp, n_steps, params)
+    _, eps, psw, (_, g1) = _swap_schedule(ramp, n_steps, params)
 
     certain = psw >= 1.0  # swap_probability allows 1 + 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = np.where(certain, 0.0, -np.log1p(-psw))
     hazard = np.concatenate([[0.0], np.cumsum(rate)])
+    index = _hazard_index(hazard)
     # cap[m]: the first certain swap at or after step m, else n_steps
     cap = np.where(certain, np.arange(n_steps), n_steps)
     cap = np.minimum.accumulate(np.append(cap, n_steps)[::-1])[::-1]
@@ -366,7 +390,7 @@ def monte_carlo_work(
     for b, a in enumerate(range(0, n_traj, _MC_BLOCK)):
         c = min(_MC_BLOCK, n_traj - a)
         works[a:a + c], finals[a:a + c] = _sample_block(
-            seed, b, c, start[0], hazard, cap, g1, eps)
+            seed, b, c, start[0], index, hazard, cap, g1, eps)
     return WorkSamples(samples=works, final_levels=finals, seed=seed, n=n_traj)
 
 

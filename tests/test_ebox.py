@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from wcwork import ebox
@@ -90,6 +90,13 @@ class TestRates:
             assert tunneling_rate(-1000.0, PARAMS) == pytest.approx(1000.0)
             rates = tunneling_rate(np.array([-800.0, 0.0, 800.0]), PARAMS)
             assert rates[2] == 0.0 and np.all(np.isfinite(rates))
+
+    def test_gibbs_ground_occupation_keeps_its_digits(self):
+        # p0 = 1/(1 + e^{-beta eps}) directly, not 1 - p1, which cancels to 0
+        assert gibbs_occupations(-40.0, 1.0)[0] == pytest.approx(
+            1.0 / (1.0 + math.exp(40.0)), rel=1e-15)
+        p0, p1 = gibbs_occupations(np.linspace(-750.0, 750.0, 30001), 1.0)
+        assert np.abs(p0 + p1 - 1.0).max() <= 2.2205e-16
 
     def test_params_validation(self):
         with pytest.raises(InvalidInputError):
@@ -225,8 +232,13 @@ class TestMonteCarlo:
             digests.add(run.stdout)
         assert len(digests) == 1
 
+    # certain swaps (one of them just above 1) cut the hazard into pieces,
+    # with steps that never swap between them
+    CERTAIN_PATTERN = np.array([0.3, 1.0, 0.0, 0.6, 1.0 + 1e-13, 0.2, 0.0, 0.0])
+
     # sha256 of samples + final levels, taken when the event sampler on
-    # 4,096-trajectory blocks became the stream
+    # 4,096-trajectory blocks became the stream; a seventh entry replaces
+    # the swap probabilities
     GOLDEN = [
         ((linear_ramp(0.0, 2.0, 1.0), (0.7, 0.3), 500, 50, 42, PARAMS),
          "eaec8109bfc9943b260ef7f88ba448900de5e992fb5191da7e60b49b149fb1f4"),
@@ -239,14 +251,61 @@ class TestMonteCarlo:
          "c3848accee9700842ad037f930392d40ceb8c2ea7ea14cf0d3a505fc64c2a238"),
         ((szilard_ramp(5.0, 2.0), (0.25, 0.75), 37, 3000, 2**63 - 1, PARAMS),
          "e95a4a90789baba6837070465a0e69b3b35b259d3a2d39cf548ca2749cadcb4a"),
+        # taken with the binary search over the whole hazard, before the
+        # guide table replaced it: ebox-sweep's longest row across a block
+        # boundary, acceptance 6's row, a 200 kT ramp (rate ratio about 100,
+        # past the table's size cap), a decoupled bath, and certain swaps
+        ((linear_ramp(8.0, 0.0, 144.0), (1.0, 0.0), 4097, 7200, 21, PARAMS),
+         "704e00d4f7b1a81e01fb7e679c0bcd924c124bfe7a60db0406f84e433ef2fbbf"),
+        ((linear_ramp(8.0, 0.0, 384.0), (1.0, 0.0), 300, 40000, 22, PARAMS),
+         "b14738aed3592d25e425e1cbd8939cd16f7edf351c1f8409178704f0a0f90710"),
+        ((linear_ramp(0.0, 200.0, 10.0), (1.0, 0.0), 3000, 4000, 23, PARAMS),
+         "c7159202dd5dd55ed77fb35fa0e1e6c170b60fd82a4349581af1b78879d5dbdc"),
+        ((linear_ramp(0.0, 2.0, 1.0), (0.5, 0.5), 500, 20000, 24,
+          EboxParams(gamma0=0.0, eps_c=1.0, beta=1.0)),
+         "c8d7688cd1e4333280f22d2a3a48be7577481e502e4975279cc01e5647b78134"),
+        ((szilard_ramp(2.0, 1.0), (0.9, 0.1), 40000, CERTAIN_PATTERN.size, 6, PARAMS,
+          CERTAIN_PATTERN),
+         "9560958d76eac5fdaa70dc0b243d755e8da7707100bb448912dfb30fe99df7fc"),
     ]
 
     @pytest.mark.parametrize("case, digest", GOLDEN,
-                             ids=["short", "chunks", "threaded-odd", "one-traj", "seed-2^63-1"])
-    def test_streams_unchanged(self, case, digest):
-        ramp, rho0, n_traj, n_steps, seed, params = case
+                             ids=["short", "chunks", "threaded-odd", "one-traj", "seed-2^63-1",
+                                  "sweep-longest", "acceptance-6-row", "200kT-ramp",
+                                  "gamma0-zero", "certain-swaps"])
+    def test_streams_unchanged(self, case, digest, monkeypatch):
+        ramp, rho0, n_traj, n_steps, seed, params, *pattern = case
+        if pattern:
+            monkeypatch.setattr(ebox, "swap_probability", lambda eps, dt, params: pattern[0])
         dist = monte_carlo_work(ramp, np.array(rho0), n_traj, n_steps, seed, params)
         assert _digest(dist) == digest
+
+    @settings(max_examples=250, deadline=None)
+    @given(size=st.integers(1, 5000), low=st.integers(-300, 3),
+           decades=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 303.0)),
+           zero_share=st.sampled_from([0.0, 0.1, 0.5, 0.95, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_hazard_index_matches_binary_search(self, size, low, decades, zero_share, seed):
+        # non-decreasing hazards from 0 with runs of equal values (zero
+        # increments, and increments lost to rounding next to large ones)
+        rng = np.random.default_rng(seed)
+        inc = 10.0 ** (low + min(decades, 3 - low) * rng.random(size - 1))  # <= 1e3
+        inc[rng.random(size - 1) < zero_share] = 0.0
+        h = np.concatenate([[0.0], np.cumsum(inc)])
+        rises = np.diff(h)[np.diff(h) > 0]
+        inv = 2.0 / rises.min() if rises.size else 0.0
+        with np.errstate(over="ignore"):
+            event("guide table" if h[-1] * inv < 8 * size else "binary search")
+        # nodes, their neighbours, the table's bucket edges j / inv next to
+        # each node, and points above the top
+        with np.errstate(all="ignore"):
+            edges = np.concatenate([np.floor(h * inv), np.floor(h * inv) + 1]) / inv
+        x = np.concatenate([h, edges[np.isfinite(edges)], [h[-1] + 1.0, 2.0 * h[-1] + 1e3],
+                            h[-1] * (1.0 + rng.random(5)), h[-1] * rng.random(50)])
+        x = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+        x = x[x >= 0.0]
+        np.testing.assert_array_equal(ebox._hazard_index(h)(x),
+                                      np.searchsorted(h, x, side="right") - 1)
 
     # linear, up-down and four-knot ramps whose works lie on a lattice, so
     # the exact chain law has a few hundred atoms
@@ -285,9 +344,7 @@ class TestMonteCarlo:
         assert set(np.round(quanta).tolist()) == {0.0, 1.0, 2.0}
 
     def test_certain_swaps_between_uncertain_steps(self, monkeypatch):
-        # certain swaps (one of them just above 1) cut the hazard into pieces,
-        # with steps that never swap between them
-        pattern = np.array([0.3, 1.0, 0.0, 0.6, 1.0 + 1e-13, 0.2, 0.0, 0.0])
+        pattern = self.CERTAIN_PATTERN
         monkeypatch.setattr(ebox, "swap_probability", lambda eps, dt, params: pattern)
         ramp, rho0, n = szilard_ramp(2.0, 1.0), np.array([0.9, 0.1]), 40000
         dist = monte_carlo_work(ramp, rho0, n, pattern.size, 6, PARAMS)
