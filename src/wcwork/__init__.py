@@ -77,4 +77,4 @@ from .singleshot import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.9.0"
+__version__ = "1.10.0"

@@ -231,6 +231,13 @@ def _csv_lines(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _json(doc):  # a value that is not finite is a NumericError, not JSON
+    for key, value in doc.items():
+        if not math.isfinite(value):
+            raise NumericError(f"{key} = {value} is not finite")
+    return json.dumps(doc, indent=2, default=float) + "\n"
+
+
 def _run(cfg: dict, extracted: bool) -> str:
     def signed(w):
         # 0.0 - w, unlike -w, maps a zero work to +0.0
@@ -255,20 +262,20 @@ def _run(cfg: dict, extracted: bool) -> str:
                "residual": rep.residual, "eps": rep.eps,
                "mild_assumption_ok": rep.mild_assumption_ok,
                "tail_bound": rep.tail_bound}
-        return json.dumps(doc, indent=2, default=float) + "\n"
+        return _json(doc)
 
     if mode == "crooks":
         protocol, rho0 = _build_protocol(cfg)
         beta = protocol.beta
         _, z0 = model.make_thermal_state(protocol.initial, beta)
         gamma_f, zf = model.make_thermal_state(protocol.final_landscape, beta)
-        fwd = engine.work_distribution(protocol, rho0)
-        rev = engine.work_distribution(model.reverse_protocol(protocol), gamma_f)
-        jz = engine.jarzynski_sum(fwd, beta)
+        fwd = engine.work_distribution(protocol, rho0, 0.0)  # binned for Jarzynski only
+        rev = engine.work_distribution(model.reverse_protocol(protocol), gamma_f, 0.0)
+        jz = engine.jarzynski_sum(engine.bin_works(fwd.works, fwd.probs), beta)
         doc = {"max_crooks_residual": engine.crooks_residual(fwd, rev, z0, zf, beta),
                "jarzynski_residual": abs(jz - zf / z0),
                "log_z_ratio": math.log(zf / z0)}
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(doc)
 
     params = ebox.EboxParams(cfg["gamma0"], cfg["eps_c"], cfg["beta"])
     if mode == "ebox-sweep":

@@ -59,20 +59,11 @@ class WorkDistribution:
     def probs(self) -> np.ndarray:
         return self.atoms[:, 1]
 
-    def probs_at(self, w) -> np.ndarray:
-        """Probability of the first atom within bin_tolerance of each of
-        ``w``, NaN where no atom matches."""
-        w = np.asarray(w, dtype=float)
-        tol = max(self.bin_tolerance, 1e-12)
-        works = self.works
-        idx = np.minimum(np.searchsorted(works, w - tol), works.size - 1)
-        hit = np.abs(works[idx] - w) <= tol
-        return np.where(hit, self.probs[idx], np.nan)
-
     def prob_at(self, w: float):
-        """Probability of the atom matching ``w`` within bin_tolerance, or None."""
-        p = float(self.probs_at(w))
-        return None if math.isnan(p) else p
+        """Probability of the first atom within bin_tolerance of ``w``, or None."""
+        tol = max(self.bin_tolerance, 1e-12)
+        i = min(int(np.searchsorted(self.works, w - tol)), self.works.size - 1)
+        return float(self.probs[i]) if abs(self.works[i] - w) <= tol else None
 
 
 def _merge(key, work, prob, tol):
@@ -94,6 +85,23 @@ def _merge(key, work, prob, tol):
     shift = np.add.reduceat(offset * prob, first)
     np.divide(shift, mass, out=shift, where=mass > 0)
     return key[first], base + shift, mass
+
+
+def _paired_runs(fwd: WorkDistribution, rev: WorkDistribution):
+    """The one pairing of forward works w with reverse works -w: sorted together,
+    they form runs of adjacent works within DEFAULT_BIN_TOLERANCE (``_merge``'s
+    rule).  Each run's work, forward mass and reverse mass are ``_merge``'s of
+    its forward atoms (of its reverse atoms where it has none)."""
+    works = np.concatenate([fwd.works, -rev.works])
+    ordered = np.sort(works)
+    heads = ordered[np.concatenate([[True], np.diff(ordered) > DEFAULT_BIN_TOLERANCE])]
+    run, n = np.searchsorted(heads, works, side="right") - 1, fwd.works.size
+    rev_run, rev_work, rev_mass = _merge(run[n:], works[n:], rev.probs, math.inf)
+    fwd_run, fwd_work, fwd_mass = _merge(run[:n], works[:n], fwd.probs, math.inf)
+    w, p, q = np.zeros((3, heads.size))
+    w[rev_run], q[rev_run] = rev_work, rev_mass
+    w[fwd_run], p[fwd_run] = fwd_work, fwd_mass
+    return w, p, q
 
 
 def _forward(protocol: Protocol, rho0: DiagonalState):
@@ -183,18 +191,11 @@ def epsilon_guaranteed_work(dist: WorkDistribution, eps: float):
     """
     if not (0.0 <= eps < 1.0):
         raise InvalidInputError(f"eps must be in [0, 1), got {eps}")
-    w = dist.works
-    p = dist.probs
+    w, p = dist.works, dist.probs
     tail = np.concatenate([np.cumsum(p[::-1])[::-1][1:], [0.0]])  # p(W > w_k)
-    ok = np.flatnonzero(tail <= eps + 1e-15)
-    k = int(ok[0])
-    w_eps = float(w[k])
-    kept_p = p[: k + 1]
-    cut = WorkDistribution(
-        atoms=np.column_stack([w[: k + 1], kept_p / kept_p.sum()]),
-        bin_tolerance=dist.bin_tolerance,
-    )
-    return w_eps, cut
+    k = int(np.flatnonzero(tail <= eps + 1e-15)[0])
+    cut = np.column_stack([w[: k + 1], p[: k + 1] / p[: k + 1].sum()])
+    return float(w[k]), WorkDistribution(cut, dist.bin_tolerance)
 
 
 def variation_distance(p, q) -> float:
@@ -216,24 +217,25 @@ def crooks_residual(
     """Max over the forward support of
     |log p_fwd(w) - log p_rev(-w) - log(Zf/Z0) - beta w|.
 
-    A forward atom without a partner at -w in the reverse distribution raises
-    SupportMismatchError; a Zf/Z0 not finite and positive, NumericError.
+    Pass both sides binned at tolerance 0: w and -w pair in runs of adjacent
+    works within DEFAULT_BIN_TOLERANCE.  A run of forward mass without reverse
+    mass raises SupportMismatchError; a Zf/Z0 not finite and positive, NumericError.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = float(np.divide(zf, z0))  # IEEE: no ZeroDivisionError at z0 = 0
     if not 0.0 < ratio < math.inf:
         raise NumericError(f"Zf/Z0 = {ratio!r} is not finite and positive")
-    q = rev.probs_at(-fwd.works)
-    missing = np.flatnonzero(np.isnan(q))
-    if missing.size:
-        w = float(fwd.works[missing[0]])
-        raise SupportMismatchError(
-            f"no reverse atom at {-w!r} matching forward work {w!r}"
-        )
-    resid = np.log(fwd.probs) - np.log(q) - math.log(ratio) - beta * fwd.works
+    w, p, q = _paired_runs(fwd, rev)
+    live = p > 0
+    w, p, q = w[live], p[live], q[live]
+    if not q.all():
+        w = float(w[q == 0][0])
+        raise SupportMismatchError(f"no reverse atom at {-w!r} matching forward work {w!r}")
+    resid = np.log(p) - np.log(q) - math.log(ratio) - beta * w
     return float(np.abs(resid).max())
 
 
 def jarzynski_sum(dist: WorkDistribution, beta: float) -> float:
     """The exponential work average sum_w p(w) exp(-beta w)."""
-    return float(np.dot(dist.probs, np.exp(-beta * dist.works)))
+    with np.errstate(over="ignore"):  # an infinite sum is the caller's to report
+        return float(np.dot(dist.probs, np.exp(-beta * dist.works)))

@@ -238,7 +238,8 @@ def make_thermal_state(landscape: EnergyLandscape, beta: float):
     e = landscape.energies
     shifted = np.exp(-beta * (e - e.min()))
     probs = shifted / shifted.sum()
-    z = float(np.exp(-beta * e).sum())
+    with np.errstate(over="ignore"):  # callers raise NumericError on Z = inf
+        z = float(np.exp(-beta * e).sum())
     return DiagonalState(probs), z
 
 

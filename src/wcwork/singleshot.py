@@ -19,6 +19,7 @@ from .engine import (
     WorkDistribution,
     _distribution,
     _forward,
+    _paired_runs,
     epsilon_guaranteed_work,
     variation_distance,
     work_distribution,
@@ -48,15 +49,13 @@ def _check_normalized(p: np.ndarray, name: str):
 def d_infinity(p, q) -> float:
     """Max-relative entropy sup over supp(P) of log(P/Q).
 
-    Accepts two probability vectors, or two work distributions in which case
-    Q is evaluated at the negated support points (Q(w) := q(-w)).  Returns
-    +inf when the forward support is not covered.
+    Accepts two probability vectors, or a forward and a reverse work
+    distribution binned at tolerance 0, Q(w) := q(-w): w and -w pair in runs
+    of adjacent works within DEFAULT_BIN_TOLERANCE, and P and Q are the runs'
+    masses.  Returns +inf when the forward support is not covered.
     """
     if isinstance(p, WorkDistribution):
-        qw = q.probs_at(-p.works)
-        if np.isnan(qw).any():
-            return math.inf
-        return float(np.max(np.log(p.probs) - np.log(qw)))
+        _, p, q = _paired_runs(p, q)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
@@ -132,7 +131,8 @@ _MILD_TOLERANCE = 1e-9
 class TildeScenario:
     """Associated thermal state, its partition function, the protocol with
     the prepended lowering of the lifted levels, and that protocol's work
-    distribution from the associated thermal state."""
+    distribution from the associated thermal state, binned at tolerance 0
+    (``d_infinity`` pairs it with the reverse works)."""
 
     gamma_tilde: DiagonalState
     z_tilde: float
@@ -201,8 +201,8 @@ def build_tilde_scenario(
     )
 
     entries = _forward(tilde_protocol, gamma_tilde)
-    full = _distribution(entries)
-    w0_in_tilde = worst_case_work(_distribution(entries, restrict_start=in_idx))
+    full = _distribution(entries, 0.0)
+    w0_in_tilde = worst_case_work(_distribution(entries, 0.0, in_idx))
     mild_ok = abs(worst_case_work(full) - w0_in_tilde) <= _MILD_TOLERANCE
 
     return TildeScenario(
@@ -225,7 +225,7 @@ def _equality_terms(rho0, protocol, partition):
     gamma_f, z_f = make_thermal_state(proto.final_landscape, proto.beta)
     if not 0.0 < z_f < math.inf:
         raise NumericError(f"Zf = {z_f!r} is not finite and positive")
-    rev = work_distribution(reverse_protocol(proto), gamma_f)
+    rev = work_distribution(reverse_protocol(proto), gamma_f, 0.0)
     tail_bound = scen.p_out + variation_distance(rho0.probs, scen.gamma_tilde.probs)
     return scen, rev, math.log(z_f / scen.z_tilde), tail_bound
 
@@ -262,10 +262,10 @@ def work_tail_equality_report(
     if not (0.0 <= eps < 1.0):
         raise InvalidInputError(f"eps must be in [0, 1), got {eps}")
     scen, rev, optimum, tail_bound = _equality_terms(rho0, protocol, partition)
-    fwd = scen.forward
-    w_eps, cut = epsilon_guaranteed_work(fwd, eps)
-    retained = float(fwd.probs[fwd.works <= w_eps + fwd.bin_tolerance].sum())
-    d_inf = d_infinity(cut, rev)
+    w, p, q = _paired_runs(scen.forward, rev)  # cut runs, not atoms: no pair is split
+    w_eps, _ = epsilon_guaranteed_work(WorkDistribution(np.column_stack([w, p])), eps)
+    retained = float(p[(p > 0) & (w <= w_eps)].sum())
+    d_inf = d_infinity(np.where(w <= w_eps, p / retained, 0.0), q)
     log1meps = math.log(retained)
     return EqualityReport(
         w0_in=w_eps, d_infinity_term=d_inf, optimum_term=optimum,

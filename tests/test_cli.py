@@ -187,6 +187,13 @@ class TestEnumerate:
 
 
 class TestEquality:
+    def test_near_coincident_works_pair(self, tmp_path, capsys):
+        doc = near_coincident_config("equality", [0.5, 0.5], in_levels=[0, 1])
+        assert main(["--config", write_config(tmp_path, doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["d_infinity"] == pytest.approx(0.56621916951697, abs=1e-12)
+        assert out["residual"] < 1e-12
+
     def test_degenerate_two_level_report(self, tmp_path, capsys):
         path = write_config(tmp_path, degenerate_equality_config())
         assert main(["--config", path]) == 0
@@ -213,7 +220,23 @@ class TestEquality:
         assert out["residual"] <= 1e-12
 
 
+def near_coincident_config(mode, rho0, **extra):
+    """Levels [0, 2] changed to [0, 1e-9] under a fully mixing jump: the
+    works -2, -2 + 1e-9, 0 and 1e-9 lie one bin tolerance apart, and a
+    reverse side binned on its own at that tolerance groups them unlike the
+    forward side."""
+    return {"mode": mode, "levels": [0.0, 2.0], "rho0": rho0,
+            "steps": [{"type": "change", "levels": [0.0, 1e-9],
+                       "jump": [[0.5, 0.5], [0.5, 0.5]]}], **extra}
+
+
 class TestCrooks:
+    def test_near_coincident_works_pair(self, tmp_path, capsys):
+        gibbs = [0.8807970779778823, 0.11920292202211755]
+        path = write_config(tmp_path, near_coincident_config("crooks", gibbs))
+        assert main(["--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["max_crooks_residual"] < 1e-12
+
     def test_thermal_protocol_residuals_vanish(self, tmp_path, capsys):
         z0 = 2.0
         doc = {
@@ -563,6 +586,16 @@ NUMERIC = {
     "crooks at +1000 kT": ({"mode": "crooks", "levels": [1000.0, 1001.0],
                             "rho0": [0.5, 0.5], "steps": [FULL]},
                            "Zf/Z0 = nan is not finite and positive"),
+    # a reported value that is not finite: the reverse partner's mass
+    # e^-800 * 0.5 underflows, and e^800 in the Jarzynski sum overflows
+    "equality with an underflowing partner": (
+        {"mode": "equality", "levels": [0.0, 800.0], "rho0": [0.5, 0.5],
+         "in_levels": [0], "steps": [FULL, change_to(0.0, 0.0)]},
+        "d_infinity = inf is not finite"),
+    "crooks with an overflowing Jarzynski sum": (
+        {"mode": "crooks", "levels": [0.0, 800.0], "rho0": [0.5, 0.5],
+         "steps": [change_to(0.0, 0.0)]},
+        "jarzynski_residual = inf is not finite"),
 }
 
 

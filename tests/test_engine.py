@@ -267,9 +267,11 @@ class TestWorkDistribution:
 
     def test_lookup_within_tolerance(self):
         dist = WorkDistribution(atoms=((0.0, 0.25), (1.0, 0.75)))
-        got = dist.probs_at([1.0 + 5e-10, -5e-10, 0.5, 2.0, -1.0])
-        np.testing.assert_array_equal(got[:2], [0.75, 0.25])
-        assert np.isnan(got[2:]).all()
+        assert dist.prob_at(1.0 + 5e-10) == 0.75
+        assert dist.prob_at(-5e-10) == 0.25
+        assert dist.prob_at(0.5) is None
+        assert dist.prob_at(2.0) is None
+        assert dist.prob_at(-1.0) is None
         assert dist.prob_at(1.0) == 0.75
         assert dist.prob_at(0.5) is None
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from wcwork import engine, singleshot
@@ -18,6 +18,7 @@ from wcwork import (
     ResourceLimitError,
     Thermalization,
     build_tilde_scenario,
+    crooks_residual,
     d_infinity,
     d_zero,
     main_equality_report,
@@ -26,12 +27,13 @@ from wcwork import (
     max_entropy,
     out_of_set_probability,
     partial_swap_hop_matrix,
+    reverse_protocol,
     smooth_d_zero,
     work_distribution,
     work_tail_equality_report,
 )
 
-from tests_support import exhaustive_smooth_d_zero
+from tests_support import exhaustive_smooth_d_zero, planted_gap_protocols
 
 
 def degenerate_thermalize_protocol(beta=1.0, p_swap=1.0):
@@ -373,3 +375,26 @@ class TestMarkovBound:
             markov_d_infinity_bound(1.0, 0.0, 1.0, 0.0)
         with pytest.raises(InvalidInputError):
             markov_d_infinity_bound(1.0, 1.0, 1.0, 0.0)
+
+
+class TestPairingAtTheBinTolerance:
+    """Forward works w and reverse works -w that lie about the bin tolerance
+    apart pair alike in the Crooks residual, D_inf and the tail cut."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=planted_gap_protocols())
+    def test_relations_hold_across_planted_gaps(self, case):
+        prot, occupations, in_set = case
+        gamma0, z0 = make_thermal_state(prot.initial, 1.0)
+        gamma_f, zf = make_thermal_state(prot.final_landscape, 1.0)
+        fwd = work_distribution(prot, gamma0, 0.0)
+        rev = work_distribution(reverse_protocol(prot), gamma_f, 0.0)
+        assert crooks_residual(fwd, rev, z0, zf, 1.0) < 1e-8
+        rho0 = DiagonalState(occupations)
+        part = LevelPartition(in_set=frozenset(in_set), d=prot.d)
+        main = main_equality_report(rho0, prot, part)
+        tail = work_tail_equality_report(rho0, prot, part, 0.2)
+        event(f"mild assumption holds: {main.mild_assumption_ok}")
+        if main.mild_assumption_ok:
+            assert main.residual < 1e-8
+            assert tail.residual < 1e-8

@@ -81,6 +81,46 @@ def drawn_protocols(draw):
     return Protocol(initial=land, beta=1.0, steps=tuple(steps))
 
 
+@st.composite
+def planted_gap_protocols(draw):
+    """Protocols at beta = 1 with 2-3 levels and 1-4 steps whose energies are
+    off the 2^-6 kT grid, in [-5, 5] kT, and one landscape (the initial, a
+    middle or the final one) in which two levels lie tol * (1 +- 2^-40)
+    apart, tol = 1e-9 the bin tolerance.  Such gaps make works that lie
+    just inside or just outside the tolerance of one another, after rounding
+    one way on the forward side and the other on the reverse side.  Jump
+    weights are at least 0.01 and swap probabilities 0 or at least 1e-3, so
+    no path probability falls into the subnormal range.  Also drawn: a
+    start state with every level occupied and a retained set."""
+    d = draw(st.integers(2, 3))
+    n_steps = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.booleans(), min_size=n_steps, max_size=n_steps))
+    energy = st.builds(lambda k, f: k / 64.0 + f, st.integers(-320, 319),
+                       st.floats(2.0**-20, 2.0**-6 - 2.0**-20))
+    lands = [np.array(draw(st.lists(energy, min_size=d, max_size=d)))
+             for _ in range(1 + sum(kinds))]
+    planted = lands[draw(st.integers(0, len(lands) - 1))]
+    i, j = draw(st.permutations(range(d)))[:2]
+    planted[j] = planted[i] + 1e-9 * (1.0 + draw(st.sampled_from((-1, 1))) * 2.0**-40)
+    current = EnergyLandscape(lands[0])
+    initial, targets, steps = current, iter(lands[1:]), []
+    for change in kinds:
+        if change:
+            perms = draw(st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+            weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(perms),
+                                             max_size=len(perms))))
+            jump = sum(w * np.eye(d)[list(q)] for w, q in zip(weights / weights.sum(), perms))
+            current = EnergyLandscape(next(targets))
+            steps.append(HamiltonianChange(target=current, jump=jump))
+        else:
+            p_swap = draw(st.just(0.0) | st.floats(1e-3, 1.0))
+            steps.append(Thermalization(hop=partial_swap_hop_matrix(current, 1.0, p_swap)))
+    occupations = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
+    in_set = draw(st.sets(st.integers(0, d - 1), min_size=1))
+    return (Protocol(initial=initial, beta=1.0, steps=tuple(steps)),
+            occupations / occupations.sum(), in_set)
+
+
 def enumerate_paths(protocol, rho0):
     """Every trajectory with probability > 0 as arrays (nodes, works, probs):
     row i of ``nodes`` is the level sequence of path i."""
