@@ -62,10 +62,10 @@ class Ramp:
         v = np.array(self.values, dtype=float)
         if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
             raise InvalidInputError("ramp needs matching time/value arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise InvalidInputError("ramp times and values must be finite")
         if t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise InvalidInputError("ramp times must start at 0 and increase")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("ramp values must be finite")
         t.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "times", t)
@@ -295,22 +295,27 @@ def _check_seed(seed, n_keys: int = 1) -> None:
 def _hazard_index(hazard):
     """x -> searchsorted(hazard, x, side="right") - 1 for x >= hazard[0] >= 0
     on a non-decreasing hazard, by a guide table over its distinct values
-    (Chen & Asau 1974; Devroye 1986, III.2.4): buckets half the smallest
-    positive increment wide hold one value each, so a lookup reads the table
-    and compares once.  Past 8 buckets per node, a binary search."""
+    (Chen & Asau 1974; Devroye 1986, III.2.4).  Buckets are half the
+    smallest positive increment wide, or top / (8 nodes) where that is wider
+    (and never narrower than 2**-1000), so the table has at most 8 entries
+    per node.  A lookup reads the table, then takes ceil(log2(B + 1))
+    branchless steps, B the most values in one bucket; B = 1 unless the
+    swap rate varies more than about 4-fold along the row."""
     ends = np.flatnonzero(np.append(hazard[1:] > hazard[:-1], True))  # run ends
-    top = np.append(hazard[ends], np.inf)
-    with np.errstate(over="ignore"):  # inf past the double range: no table
-        inv = 2.0 / np.diff(top[:-1]).min(initial=np.inf)
-        last = top[-2] * inv
-    if not last < 8 * hazard.size:
-        return lambda x: np.searchsorted(hazard, x, side="right") - 1
-    last = int(last)  # guide[j]: the last value in a bucket below j
-    guide = np.searchsorted((top[:-1] * inv).astype(np.intp), np.arange(last + 1)) - 1
+    vals = hazard[ends]
+    high = float(vals[-1])
+    rise = float(np.diff(vals).min(initial=np.inf))
+    inv = 1.0 / max(rise / 2.0, high / (8 * hazard.size), 2.0**-1000)
+    # guide[j]: the last value in a bucket below j
+    edges = np.searchsorted((vals * inv).astype(np.intp), np.arange(int(high * inv) + 2))
+    guide = edges[:-1] - 1
+    steps = [1 << i for i in reversed(range(int(np.diff(edges).max()).bit_length()))]
+    top = np.append(vals, np.full(2 * steps[0] - 1, np.inf))
 
     def index(x):
-        k = guide[np.minimum(x * inv, last).astype(np.intp)]
-        k += top[k + 1] <= x
+        k = guide[(np.minimum(x, high) * inv).astype(np.intp)]
+        for s in steps:
+            k += s * (top[k + s] <= x)
         return ends[k]
 
     return index
@@ -450,16 +455,9 @@ def analytic_work_distribution(
             n = _JUMP_GRID_DEFAULTS.get(j_jumps, _JUMP_GRID_FALLBACK)
             mid = (np.arange(n) + 0.5) * tau / n
             dtq = tau / n
-            if j_jumps == 1:
-                t_mat = mid[:, None]
-            else:
-                combos = np.fromiter(
-                    itertools.chain.from_iterable(
-                        itertools.combinations(range(n), j_jumps)
-                    ),
-                    dtype=int,
-                ).reshape(-1, j_jumps)
-                t_mat = mid[combos]
+            combos = itertools.combinations(range(n), j_jumps)
+            combos = np.fromiter(itertools.chain.from_iterable(combos), dtype=int)
+            t_mat = mid[combos.reshape(-1, j_jumps)]
             rates = np.ones(t_mat.shape[0])
             action = np.zeros(t_mat.shape[0])
             prev = np.zeros(t_mat.shape[0])
@@ -635,6 +633,8 @@ def _sorted_cost_quantile(samples, eps: float):
     """The sorted samples and the index of the smallest x among them with at
     most floor(eps * n) samples above it."""
     x = np.sort(np.asarray(samples, dtype=float))
+    if x.size == 0:
+        raise InvalidInputError("no work samples")
     return x, max(x.size - 1 - int(math.floor(eps * x.size)), 0)
 
 
@@ -673,9 +673,9 @@ def markov_bound_check(
     bounded) when any sampled work is negative.
     """
     samples = np.asarray(samples, dtype=float)
+    w_eps = cost_work_quantile(samples, eps)
     if samples.min() < 0 or samples.mean() < 0:
         return False, None, None
-    w_eps = cost_work_quantile(samples, eps)
     measured = beta * w_eps - math.log1p(-eps) + log_z_ratio
     bound = markov_d_infinity_bound(float(samples.mean()), eps, beta, log_z_ratio)
     return True, bound, measured
@@ -706,8 +706,8 @@ def szilard_sweep(
     in the order given.
     """
     durations = [float(t) for t in durations]
-    if not durations or min(durations) <= 0:
-        raise InvalidInputError("durations must be positive")
+    if not durations or not all(0.0 < t < math.inf for t in durations):
+        raise InvalidInputError("durations must be positive and finite")
     eps_values = [float(e) for e in np.atleast_1d(eps)]
     if not eps_values or not all(0.0 < e < 1.0 for e in eps_values):
         raise InvalidInputError("eps values must lie in (0, 1)")

@@ -115,6 +115,16 @@ class TestRamps:
         with pytest.raises(InvalidInputError):
             linear_ramp(0.0, 1.0, 0.0)
 
+    def test_non_finite_times_rejected(self):
+        for times in ([0.0, math.inf], [0.0, math.nan], [0.0, 1.0, math.inf]):
+            with pytest.raises(InvalidInputError, match="finite"):
+                Ramp(times, np.zeros(len(times)))
+        with pytest.raises(InvalidInputError, match="finite"):
+            linear_ramp(0.0, 1.0, math.nan)
+        for durations in ([math.nan, 1.0], [1.0, math.inf]):
+            with pytest.raises(InvalidInputError, match="finite"):
+                szilard_sweep(durations, 0.5, 1.0, 10, 200, 1, PARAMS)
+
     def test_interpolation(self):
         r = linear_ramp(0.0, 2.0, 4.0)
         assert r(1.0) == pytest.approx(0.5)
@@ -281,21 +291,25 @@ class TestMonteCarlo:
         assert _digest(dist) == digest
 
     @settings(max_examples=250, deadline=None)
-    @given(size=st.integers(1, 5000), low=st.integers(-300, 3),
-           decades=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 303.0)),
+    @given(size=st.integers(1, 5000), low=st.integers(-323, 3),
+           decades=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 326.0)),
            zero_share=st.sampled_from([0.0, 0.1, 0.5, 0.95, 1.0]),
            seed=st.integers(0, 2**32 - 1))
     def test_hazard_index_matches_binary_search(self, size, low, decades, zero_share, seed):
         # non-decreasing hazards from 0 with runs of equal values (zero
-        # increments, and increments lost to rounding next to large ones)
+        # increments, and increments lost to rounding next to large ones),
+        # down to subnormal increments
         rng = np.random.default_rng(seed)
         inc = 10.0 ** (low + min(decades, 3 - low) * rng.random(size - 1))  # <= 1e3
         inc[rng.random(size - 1) < zero_share] = 0.0
         h = np.concatenate([[0.0], np.cumsum(inc)])
-        rises = np.diff(h)[np.diff(h) > 0]
-        inv = 2.0 / rises.min() if rises.size else 0.0
-        with np.errstate(over="ignore"):
-            event("guide table" if h[-1] * inv < 8 * size else "binary search")
+        # the table's bucket width: half the smallest rise, or top / (8 nodes)
+        # where that is wider, and at least 2**-1000
+        vals = np.unique(h)
+        rise = float(np.diff(vals).min(initial=np.inf))
+        inv = 1.0 / max(rise / 2.0, float(h[-1]) / (8 * size), 2.0**-1000)
+        per_bucket = np.bincount((vals * inv).astype(np.intp)).max()
+        event("one value per bucket" if per_bucket == 1 else "several per bucket")
         # nodes, their neighbours, the table's bucket edges j / inv next to
         # each node, and points above the top
         with np.errstate(all="ignore"):
@@ -329,6 +343,14 @@ class TestMonteCarlo:
         _, occ = partial_swap_chain(ramp, rho0, n_steps, PARAMS)
         q = occ[-1, 1]
         assert abs(dist.final_levels.mean() - q) < 4 * math.sqrt(q * (1 - q) / n_traj)
+
+    def test_tiny_swap_rates(self):
+        # swap probabilities of about 2e-308: the table's scale stays finite
+        # and no query overflows; no trajectory swaps, so each pays its level
+        dist = monte_carlo_work(linear_ramp(0.0, 1.0, 1.0), [0.5, 0.5], 5000, 100, 1,
+                                EboxParams(1e-306, 1.0, 1.0))
+        np.testing.assert_array_equal(dist.samples, dist.final_levels)
+        assert 0 < dist.final_levels.sum() < 5000
 
     def test_certain_swap_at_every_step(self):
         # p_sw = 1 to within 1e-12: every step swaps, so the run ends with
@@ -681,6 +703,13 @@ class TestQuantiles:
         cost = cost_work_quantile(np.array(works), eps)
         assert cost == -g
         assert (0.0 - cost).hex() == value.hex()
+
+    def test_empty_samples_rejected(self):
+        for call in (lambda: extracted_work_quantile([], 0.1),
+                     lambda: cost_work_quantile(np.array([]), 0.1),
+                     lambda: markov_bound_check([], 0.1, 1.0, 0.0)):
+            with pytest.raises(InvalidInputError, match="no work samples"):
+                call()
 
     def test_markov_check_flags_negative_support(self):
         ok, bound, measured = markov_bound_check(np.array([-0.1, 1.0]), 0.2, 1.0, 0.0)
