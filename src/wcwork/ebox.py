@@ -157,7 +157,8 @@ def gibbs_occupations(eps, beta: float):
 
 def _initial_pair(rho0) -> np.ndarray:
     p = np.asarray(getattr(rho0, "probs", rho0), dtype=float)
-    if p.shape != (2,) or abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
+    if p.shape != (2,) or not np.all(np.isfinite(p)) or abs(p.sum() - 1.0) > 1e-9 \
+            or np.any(p < 0):
         raise InvalidInputError("rho0 must be a normalized two-level distribution")
     return p
 
@@ -300,16 +301,17 @@ def _hazard_index(hazard):
     (and never narrower than 2**-1000), so the table has at most 8 entries
     per node.  A lookup reads the table, then takes ceil(log2(B + 1))
     branchless steps, B the most values in one bucket; B = 1 unless the
-    swap rate varies more than about 4-fold along the row."""
+    rate varies more than about 4-fold along the hazard."""
     ends = np.flatnonzero(np.append(hazard[1:] > hazard[:-1], True))  # run ends
     vals = hazard[ends]
     high = float(vals[-1])
     rise = float(np.diff(vals).min(initial=np.inf))
     inv = 1.0 / max(rise / 2.0, high / (8 * hazard.size), 2.0**-1000)
-    # guide[j]: the last value in a bucket below j
-    edges = np.searchsorted((vals * inv).astype(np.intp), np.arange(int(high * inv) + 2))
-    guide = edges[:-1] - 1
-    steps = [1 << i for i in reversed(range(int(np.diff(edges).max()).bit_length()))]
+    # guide[j]: the last value in a bucket below j, from the values per bucket
+    guide = np.bincount((vals * inv).astype(np.intp) + 1)
+    steps = [1 << i for i in reversed(range(int(guide.max()).bit_length()))]
+    np.cumsum(guide, out=guide)
+    guide -= 1
     top = np.append(vals, np.full(2 * steps[0] - 1, np.inf))
 
     def index(x):
@@ -321,35 +323,35 @@ def _hazard_index(hazard):
     return index
 
 
-def _sample_block(seed, block, m, p0, index, hazard, cap, g1, eps):
+def _sample_block(seed, block, m, p0, index, hazard, cap, eps):
     """Works and final levels of the ``m`` trajectories of one block, drawn
     from the block's own Philox keyed (seed, block): the initial levels,
-    then per round one exponential for every live trajectory and one
-    uniform, the new Gibbs level, for every trajectory that swaps.  The
-    rounds walk the live trajectories in index order, one swap each."""
-    gen = np.random.Generator(
-        np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-    n = g1.size
+    then per round one exponential for every live trajectory, which gives
+    the step of its next level change.  The rounds walk the live
+    trajectories in index order, one level change each."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+    n = eps.size - 1
     works, finals = np.empty(m), np.empty(m, dtype=np.int8)
     live = np.arange(m)
-    level = gen.random(m) >= p0  # 1 with probability p1
-    frm = np.zeros(m, dtype=np.intp)  # the first step the next swap may take
-    acc, at = np.zeros(m), np.full(m, eps[0])  # work so far, eps where it stops
+    level = (gen.random(m) >= p0).astype(np.intp)  # 1 with probability p1
+    pos = level * (n + 1)  # the level's section + the first step its next flip may take
+    acc, at = np.zeros(m), np.full(m, eps[0])  # work so far, eps at the last change
     while live.size:
-        # the swap step k: H_k <= H_frm + e < H_{k+1}, or the next certain swap
-        x = hazard[frm]
+        # the flip step k: H_k <= H_pos + e < H_{k+1} in the level's own
+        # section, or its next certain flip, or n (no flip) at the section's end
+        x = hazard[pos]
         x += gen.standard_exponential(live.size)
-        k = index(x)
-        np.minimum(k, cap[frm], out=k)
+        k = np.minimum(index(x), cap[pos])
+        k -= level * (n + 1)
         e_k = eps[k]
-        acc += level * (e_k - at)  # the level held since its last swap
+        acc += level * (e_k - at)  # the level held since its last change
         done = k >= n
         if done.any():
             works[live[done]], finals[live[done]] = acc[done], level[done]
             keep = ~done
-            live, k, e_k, acc = live[keep], k[keep], e_k[keep], acc[keep]
-        level = gen.random(live.size) < g1[k]
-        frm, at = k + 1, e_k
+            live, k, e_k, acc, level = live[keep], k[keep], e_k[keep], acc[keep], level[keep]
+        level ^= 1
+        pos, at = level * (n + 1) + k + 1, e_k
     return works, finals
 
 
@@ -364,38 +366,45 @@ def monte_carlo_work(
     """Sample trajectories of the partial-swap chain.
 
     Per step: with probability p_sw(t) the level is resampled from the
-    instantaneous Gibbs state, then the splitting moves and the occupied level
-    accrues work sigma * d(eps).  The sampler draws no "no swap" steps: from
-    step m the next swap is the first step k with H_{k+1} - H_m > e, where
-    H_k = -sum_{j<k} log(1 - p_j) is the cumulative hazard and e ~ Exp(1)
-    (a step with p_sw >= 1 always swaps).  A trajectory's work adds, per
-    stretch between swaps, its level times the splitting's change.
+    instantaneous Gibbs state (g0, g1), then the splitting moves and the
+    occupied level accrues work sigma * d(eps).  So per step level 0 flips
+    to 1 with probability p_sw g1 and level 1 to 0 with probability p_sw g0,
+    and the sampler draws only the flips (thinning; Lewis & Shedler 1979):
+    from step m, level sigma next flips at the first step k with
+    H^sigma_{k+1} - H^sigma_m > e, where H^sigma_k = -sum_{j<k}
+    log(1 - p_j g_{1-sigma,j}) is the level's cumulative flip hazard and
+    e ~ Exp(1) (a step with p_sw g >= 1 always flips).  A trajectory's work
+    adds, per stretch between level changes, its level times the
+    splitting's change.
 
     Trajectories come in blocks of ``_MC_BLOCK``; block b draws from Philox
     keyed (seed, b), so a block's samples depend only on the seed, its index
     and its trajectory count.  ``seed`` is an integer in [0, 2**64).
     """
-    if n_traj < 1 or n_steps < 1:
-        raise InvalidInputError("n_traj and n_steps must be >= 1")
+    if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in (n_traj, n_steps)):
+        raise InvalidInputError("n_traj and n_steps must be integers >= 1")
     _check_seed(seed)
     start = _initial_pair(rho0)
-    _, eps, psw, (_, g1) = _swap_schedule(ramp, n_steps, params)
+    _, eps, psw, (g0, g1) = _swap_schedule(ramp, n_steps, params)
 
-    certain = psw >= 1.0  # swap_probability allows 1 + 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = np.where(certain, 0.0, -np.log1p(-psw))
-    hazard = np.concatenate([[0.0], np.cumsum(rate)])
+    flip = np.stack([psw * g1, psw * g0])  # row sigma: level sigma's flip probabilities
+    certain = flip >= 1.0
+    flip[certain] = 0.0  # no hazard: cap stops there
+    # the levels' hazards end to end, level 1's section starting 1 above level 0's top
+    hazard = np.concatenate([[0.0], -np.log1p(-flip[0]), [1.0], -np.log1p(-flip[1])])
+    np.cumsum(hazard, out=hazard)
     index = _hazard_index(hazard)
-    # cap[m]: the first certain swap at or after step m, else n_steps
-    cap = np.where(certain, np.arange(n_steps), n_steps)
-    cap = np.minimum.accumulate(np.append(cap, n_steps)[::-1])[::-1]
+    # cap[i]: the first certain flip at or after position i, else its section's
+    # end, which also stops a level-0 lookup that ran past that section's top
+    stops = np.pad(certain, ((0, 0), (0, 1)), constant_values=True).ravel()
+    cap = np.minimum.accumulate(np.where(stops, np.arange(stops.size), stops.size)[::-1])[::-1]
 
     works = np.empty(n_traj)
     finals = np.empty(n_traj, dtype=np.int8)
     for b, a in enumerate(range(0, n_traj, _MC_BLOCK)):
         c = min(_MC_BLOCK, n_traj - a)
         works[a:a + c], finals[a:a + c] = _sample_block(
-            seed, b, c, start[0], index, hazard, cap, g1, eps)
+            seed, b, c, start[0], index, hazard, cap, eps)
     return WorkSamples(samples=works, final_levels=finals, seed=seed, n=n_traj)
 
 
@@ -699,9 +708,10 @@ def szilard_sweep(
     ``eps`` is one tolerance or a sequence of them; every tolerance is read
     from the single sample set drawn for each duration (seed + duration
     index).  ``n_steps`` is the step count used for the longest duration;
-    shorter runs get proportionally fewer steps (at least 200) so the step
-    size, and with it the swap probability per step, stays uniform across
-    the sweep.  Returns rows (speed, eps, w_eps_extracted, stderr) with
+    shorter runs get proportionally fewer steps so the step size, and with
+    it the swap probability per step, stays uniform across the sweep, but
+    no run gets fewer than 200 (below 200, every duration runs 200).
+    Returns rows (speed, eps, w_eps_extracted, stderr) with
     speed = 1/tau, duration-major: for each duration, one row per tolerance
     in the order given.
     """

@@ -173,6 +173,19 @@ class TestMasterEquation:
         with pytest.raises(InvalidInputError):
             integrate_master(constant_ramp(1.0, 1.0), np.array([0.7, 0.7]), 10, PARAMS)
 
+    def test_non_finite_initial_state_rejected(self):
+        # a NaN entry fails no comparison, so it must be rejected explicitly
+        ramp = linear_ramp(0.0, 2.0, 1.0)
+        calls = [lambda r: monte_carlo_work(ramp, r, 10, 10, 1, PARAMS),
+                 lambda r: integrate_master(ramp, r, 10, PARAMS),
+                 lambda r: partial_swap_chain(ramp, r, 10, PARAMS),
+                 lambda r: analytic_work_distribution(ramp, 1, np.linspace(-1, 3, 5), r, PARAMS),
+                 lambda r: characteristic_function(0.5, ramp, r, 10, PARAMS)]
+        for rho0 in ([np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [np.inf, -np.inf]):
+            for call in calls:
+                with pytest.raises(InvalidInputError, match="rho0"):
+                    call(rho0)
+
     def test_closed_form_at_extreme_splittings(self):
         t = np.array([0.0, 1e-3, 5.0])
         for eps in (-800.0, 1.3, 800.0):
@@ -246,37 +259,36 @@ class TestMonteCarlo:
     # with steps that never swap between them
     CERTAIN_PATTERN = np.array([0.3, 1.0, 0.0, 0.6, 1.0 + 1e-13, 0.2, 0.0, 0.0])
 
-    # sha256 of samples + final levels, taken when the event sampler on
-    # 4,096-trajectory blocks became the stream; a seventh entry replaces
-    # the swap probabilities
+    # sha256 of samples + final levels, taken when the sampler on
+    # 4,096-trajectory blocks began drawing only level changes (version
+    # 1.12.0); a seventh entry replaces the swap probabilities
     GOLDEN = [
         ((linear_ramp(0.0, 2.0, 1.0), (0.7, 0.3), 500, 50, 42, PARAMS),
-         "eaec8109bfc9943b260ef7f88ba448900de5e992fb5191da7e60b49b149fb1f4"),
+         "5ba69dd91bf1a6d18a689452238a17fd88fe25ac9d23097140a63f43287c1827"),
         ((szilard_ramp(5.0, 1.0), (0.5, 0.5), 12000, 400, 3,
           EboxParams(gamma0=0.1, eps_c=1.0, beta=1.0)),
-         "e7c449b805cfc5324c81aad21435a5dee0dd1f9afceeaa70401ba77703c6af59"),
+         "2cc42467cfdac95826fbeb4c7c0af8587e92e7dbc4bcc6becb38572c9813db8f"),
         ((linear_ramp(8.0, 0.0, 24.0), (1.0, 0.0), 1001, 2500, 7, PARAMS),
-         "3421eab8845ebfaa085f20387f26edbe54721caa35d4c43e53ecb41cbe6b02ba"),
+         "4995c345ae6bc26ec1dbd3a6ed70730007e5a23d82f0fd9332f30538c8ef2f23"),
         ((linear_ramp(8.0, 0.0, 24.0), (1.0, 0.0), 1, 3000, 5, PARAMS),
-         "c3848accee9700842ad037f930392d40ceb8c2ea7ea14cf0d3a505fc64c2a238"),
+         "b1c9677ed0e768ff16893ee7cfa8e5644c9b2c179ba024e7a70c8086355072c8"),
         ((szilard_ramp(5.0, 2.0), (0.25, 0.75), 37, 3000, 2**63 - 1, PARAMS),
-         "e95a4a90789baba6837070465a0e69b3b35b259d3a2d39cf548ca2749cadcb4a"),
-        # taken with the binary search over the whole hazard, before the
-        # guide table replaced it: ebox-sweep's longest row across a block
-        # boundary, acceptance 6's row, a 200 kT ramp (rate ratio about 100,
-        # past the table's size cap), a decoupled bath, and certain swaps
+         "f5c73b63178ab3e01e50771398d252866bac70b5d30858b3dc76177dad43d5fc"),
+        # ebox-sweep's longest row across a block boundary, acceptance 6's
+        # row, a 200 kT ramp (swap rate ratio about 100), a decoupled bath
+        # (no level changes: its digest predates 1.12.0), and certain swaps
         ((linear_ramp(8.0, 0.0, 144.0), (1.0, 0.0), 4097, 7200, 21, PARAMS),
-         "704e00d4f7b1a81e01fb7e679c0bcd924c124bfe7a60db0406f84e433ef2fbbf"),
+         "7bb66ea02d43efd4f717e412591a1d19c26876624fc4b7416bf27a4e93d74ca5"),
         ((linear_ramp(8.0, 0.0, 384.0), (1.0, 0.0), 300, 40000, 22, PARAMS),
-         "b14738aed3592d25e425e1cbd8939cd16f7edf351c1f8409178704f0a0f90710"),
+         "7ff229c3445fd44b67aeb1c0c5f61e58fa5bec6d5fccf7219d7e1cca1e661aca"),
         ((linear_ramp(0.0, 200.0, 10.0), (1.0, 0.0), 3000, 4000, 23, PARAMS),
-         "c7159202dd5dd55ed77fb35fa0e1e6c170b60fd82a4349581af1b78879d5dbdc"),
+         "0a6a11a5113634665bd3cde5b79f05277b3f3ca1da27527b8aa1d69394a62cf8"),
         ((linear_ramp(0.0, 2.0, 1.0), (0.5, 0.5), 500, 20000, 24,
           EboxParams(gamma0=0.0, eps_c=1.0, beta=1.0)),
          "c8d7688cd1e4333280f22d2a3a48be7577481e502e4975279cc01e5647b78134"),
         ((szilard_ramp(2.0, 1.0), (0.9, 0.1), 40000, CERTAIN_PATTERN.size, 6, PARAMS,
           CERTAIN_PATTERN),
-         "9560958d76eac5fdaa70dc0b243d755e8da7707100bb448912dfb30fe99df7fc"),
+         "c75533a687e42d6b76ae29d9541920ed3845f91118130aa63bb8749a639bc838"),
     ]
 
     @pytest.mark.parametrize("case, digest", GOLDEN,
@@ -322,13 +334,18 @@ class TestMonteCarlo:
                                       np.searchsorted(h, x, side="right") - 1)
 
     # linear, up-down and four-knot ramps whose works lie on a lattice, so
-    # the exact chain law has a few hundred atoms
-    CHAIN_RAMPS = [linear_ramp(0.0, 4.0, 3.0), szilard_ramp(4.0, 3.0),
-                   Ramp([0.0, 1.0, 2.0, 3.0], [0.0, 3.0, 1.0, 4.0])]
+    # the exact chain law has a few hundred atoms, from a mixed start; and
+    # the sweep's ramp from the ground level, where level 0 flips with
+    # probability down to 3e-4 p_sw per step and level 1 flips back fast
+    CHAIN_CASES = [(linear_ramp(0.0, 4.0, 3.0), (0.7, 0.3)),
+                   (szilard_ramp(4.0, 3.0), (0.7, 0.3)),
+                   (Ramp([0.0, 1.0, 2.0, 3.0], [0.0, 3.0, 1.0, 4.0]), (0.7, 0.3)),
+                   (linear_ramp(8.0, 0.0, 24.0), (1.0, 0.0))]
 
-    @pytest.mark.parametrize("ramp", CHAIN_RAMPS, ids=["linear", "up-down", "four-knot"])
-    def test_law_matches_exact_chain(self, ramp):
-        rho0, n_traj, n_steps = np.array([0.7, 0.3]), 20000, 300
+    @pytest.mark.parametrize("ramp, rho0", CHAIN_CASES,
+                             ids=["linear", "up-down", "four-knot", "sweep-ramp-from-ground"])
+    def test_law_matches_exact_chain(self, ramp, rho0):
+        rho0, n_traj, n_steps = np.array(rho0), 20000, 300
         dist = monte_carlo_work(ramp, rho0, n_traj, n_steps, 4242, PARAMS)
         atoms = work_distribution(partial_swap_chain_protocol(ramp, n_steps, PARAMS),
                                   DiagonalState(rho0)).atoms
@@ -364,6 +381,18 @@ class TestMonteCarlo:
         quanta = dist.samples / 5e-10
         np.testing.assert_allclose(quanta, np.round(quanta), atol=1e-6)
         assert set(np.round(quanta).tolist()) == {0.0, 1.0, 2.0}
+
+    def test_certain_flip(self, monkeypatch):
+        # at 40 kT g0 rounds to 1, so with p_sw = 1 level 1 flips to 0 at
+        # every step: a trajectory that starts there leaves it at step 0,
+        # before the splitting moves, and level 0 flips up with probability
+        # p_sw g1 = 4e-18 per step, so it never comes back
+        assert gibbs_occupations(40.0, 1.0)[0] == 1.0
+        monkeypatch.setattr(ebox, "swap_probability", lambda eps, dt, params: np.ones(eps.shape))
+        dist = monte_carlo_work(linear_ramp(40.0, 41.0, 1.0), np.array([0.0, 1.0]), 5000, 50, 9,
+                                PARAMS)
+        np.testing.assert_array_equal(dist.final_levels, np.zeros(5000, dtype=np.int8))
+        np.testing.assert_array_equal(dist.samples, np.zeros(5000))
 
     def test_certain_swaps_between_uncertain_steps(self, monkeypatch):
         pattern = self.CERTAIN_PATTERN
@@ -443,6 +472,9 @@ class TestMonteCarlo:
         ramp, rho0 = constant_ramp(1.0, 1.0), np.array([1.0, 0.0])
         with pytest.raises(InvalidInputError):
             monte_carlo_work(ramp, rho0, 0, 10, 1, PARAMS)
+        for n_traj, n_steps in ((10.5, 10), (10, 10.5), (10.0, 10), ("10", 10), (10, None)):
+            with pytest.raises(InvalidInputError, match="n_traj and n_steps"):
+                monte_carlo_work(ramp, rho0, n_traj, n_steps, 1, PARAMS)
         for seed in (-1, 1.5, True, np.True_, 2**64, "3", None):
             with pytest.raises(InvalidInputError, match="seed"):
                 monte_carlo_work(ramp, rho0, 10, 10, seed, PARAMS)
@@ -759,13 +791,13 @@ class TestSweep:
         rows = szilard_sweep([8.0, 16.0], (0.1, 0.5), 4.0, 300, 400, 13, PARAMS)
         assert [tuple(x.hex() for x in row) for row in rows] == [
             ("0x1.0000000000000p-3", "0x1.999999999999ap-4",
-             "0x1.99999999999a0p-4", "0x1.eb851eb851eabp-6"),
+             "0x1.eb851eb851ec0p-5", "0x1.47ae147ae1480p-6"),
             ("0x1.0000000000000p-3", "0x1.0000000000000p-1",
-             "0x1.0a3d70a3d70a4p-1", "0x1.eb851eb851ec0p-6"),
+             "0x1.d70a3d70a3d70p-2", "0x1.eb851eb851ec0p-6"),
             ("0x1.0000000000000p-4", "0x1.999999999999ap-4",
-             "0x1.ffffffffffff0p-3", "0x1.1111111111115p-5"),
+             "0x1.0a3d70a3d7090p-2", "0x1.47ae147ae146bp-6"),
             ("0x1.0000000000000p-4", "0x1.0000000000000p-1",
-             "0x1.3851eb851eb84p-1", "0x1.2c5f92c5f92d5p-6"),
+             "0x1.2e147ae147ae4p-1", "0x1.2c5f92c5f92c0p-6"),
         ]
 
     def test_tolerance_validation(self):
