@@ -267,14 +267,18 @@ def _run(cfg: dict, extracted: bool) -> str:
     if mode == "crooks":
         protocol, rho0 = _build_protocol(cfg)
         beta = protocol.beta
-        _, z0 = model.make_thermal_state(protocol.initial, beta)
-        gamma_f, zf = model.make_thermal_state(protocol.final_landscape, beta)
-        fwd = engine.work_distribution(protocol, rho0, 0.0)  # binned for Jarzynski only
+        _, log_z0 = model.make_thermal_state(protocol.initial, beta)
+        gamma_f, log_zf = model.make_thermal_state(protocol.final_landscape, beta)
+        fwd = engine.work_distribution(protocol, rho0, 0.0)
         rev = engine.work_distribution(model.reverse_protocol(protocol), gamma_f, 0.0)
-        jz = engine.jarzynski_sum(engine.bin_works(fwd.works, fwd.probs), beta)
-        doc = {"max_crooks_residual": engine.crooks_residual(fwd, rev, z0, zf, beta),
-               "jarzynski_residual": abs(jz - zf / z0),
-               "log_z_ratio": math.log(zf / z0)}
+        crooks = engine.crooks_residual(fwd, rev, log_z0, log_zf, beta)
+        try:
+            z_ratio = math.exp(log_zf - log_z0)
+        except OverflowError:  # Zf/Z0 past the double range: _json reports it
+            z_ratio = math.inf
+        doc = {"max_crooks_residual": crooks,
+               "jarzynski_residual": abs(engine.jarzynski_sum(fwd, beta) - z_ratio),
+               "log_z_ratio": log_zf - log_z0}
         return _json(doc)
 
     params = ebox.EboxParams(cfg["gamma0"], cfg["eps_c"], cfg["beta"])

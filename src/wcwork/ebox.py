@@ -22,6 +22,7 @@ from .errors import (
     NumericError,
     StepSizeError,
 )
+from .model import EnergyLandscape, make_thermal_state
 from .singleshot import markov_d_infinity_bound
 
 DEFAULT_SEED = 20177
@@ -603,9 +604,8 @@ def ebox_crooks_check(
     gibbsf = np.array(gibbs_occupations(epsf, beta))
     fwd = monte_carlo_work(ramp, gibbs0, n_traj, n_steps, seed, params)
     rev = monte_carlo_work(ramp.reversed(), gibbsf, n_traj, n_steps, seed + 1, params)
-    # log((1 + e^{-beta eps_f}) / (1 + e^{-beta eps_0})), finite at any splitting
-    log_z_ratio = float(
-        np.logaddexp(0.0, -beta * epsf) - np.logaddexp(0.0, -beta * eps0))
+    log_z_ratio = (make_thermal_state(EnergyLandscape([0.0, epsf]), beta)[1]
+                   - make_thermal_state(EnergyLandscape([0.0, eps0]), beta)[1])
 
     w_f = fwd.samples
     w_r = -rev.samples

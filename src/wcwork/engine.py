@@ -35,12 +35,10 @@ class WorkDistribution:
     """Finite set of (work, probability) atoms, sorted by work.
 
     ``atoms`` is stored as a read-only (n, 2) float array; ``works`` and
-    ``probs`` are its columns.  Atom values closer than ``bin_tolerance``
-    have been merged.
+    ``probs`` are its columns.
     """
 
     atoms: np.ndarray
-    bin_tolerance: float = DEFAULT_BIN_TOLERANCE
 
     def __post_init__(self):
         atoms = np.array(self.atoms, dtype=float).reshape(-1, 2)
@@ -58,12 +56,6 @@ class WorkDistribution:
     @property
     def probs(self) -> np.ndarray:
         return self.atoms[:, 1]
-
-    def prob_at(self, w: float):
-        """Probability of the first atom within bin_tolerance of ``w``, or None."""
-        tol = max(self.bin_tolerance, 1e-12)
-        i = min(int(np.searchsorted(self.works, w - tol)), self.works.size - 1)
-        return float(self.probs[i]) if abs(self.works[i] - w) <= tol else None
 
 
 def _merge(key, work, prob, tol):
@@ -144,8 +136,7 @@ def bin_works(
     if works.size == 0:
         raise InvalidInputError("no trajectories to bin")
     _, w, p = _merge(np.zeros(works.size, dtype=int), works, probs, bin_tolerance)
-    return WorkDistribution(atoms=np.column_stack([w, p]),
-                            bin_tolerance=bin_tolerance)
+    return WorkDistribution(atoms=np.column_stack([w, p]))
 
 
 def _distribution(entries, bin_tolerance=DEFAULT_BIN_TOLERANCE, restrict_start=None):
@@ -195,7 +186,7 @@ def epsilon_guaranteed_work(dist: WorkDistribution, eps: float):
     tail = np.concatenate([np.cumsum(p[::-1])[::-1][1:], [0.0]])  # p(W > w_k)
     k = int(np.flatnonzero(tail <= eps + 1e-15)[0])
     cut = np.column_stack([w[: k + 1], p[: k + 1] / p[: k + 1].sum()])
-    return float(w[k]), WorkDistribution(cut, dist.bin_tolerance)
+    return float(w[k]), WorkDistribution(cut)
 
 
 def variation_distance(p, q) -> float:
@@ -210,28 +201,29 @@ def variation_distance(p, q) -> float:
 def crooks_residual(
     fwd: WorkDistribution,
     rev: WorkDistribution,
-    z0: float,
-    zf: float,
+    log_z0: float,
+    log_zf: float,
     beta: float,
 ) -> float:
     """Max over the forward support of
-    |log p_fwd(w) - log p_rev(-w) - log(Zf/Z0) - beta w|.
+    |log p_fwd(w) - log p_rev(-w) - (log Zf - log Z0) - beta w|.
 
-    Pass both sides binned at tolerance 0: w and -w pair in runs of adjacent
-    works within DEFAULT_BIN_TOLERANCE.  A run of forward mass without reverse
-    mass raises SupportMismatchError; a Zf/Z0 not finite and positive, NumericError.
+    ``log_z0`` and ``log_zf`` are log partition functions, as
+    ``make_thermal_state`` gives them.  Pass both sides binned at tolerance 0:
+    w and -w pair in runs of adjacent works within DEFAULT_BIN_TOLERANCE.  A
+    run of forward mass without reverse mass raises SupportMismatchError; a
+    log Zf - log Z0 that is not finite, NumericError.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = float(np.divide(zf, z0))  # IEEE: no ZeroDivisionError at z0 = 0
-    if not 0.0 < ratio < math.inf:
-        raise NumericError(f"Zf/Z0 = {ratio!r} is not finite and positive")
+    log_ratio = log_zf - log_z0
+    if not math.isfinite(log_ratio):
+        raise NumericError(f"log Zf - log Z0 = {log_ratio!r} is not finite")
     w, p, q = _paired_runs(fwd, rev)
     live = p > 0
     w, p, q = w[live], p[live], q[live]
     if not q.all():
         w = float(w[q == 0][0])
         raise SupportMismatchError(f"no reverse atom at {-w!r} matching forward work {w!r}")
-    resid = np.log(p) - np.log(q) - math.log(ratio) - beta * w
+    resid = np.log(p) - np.log(q) - log_ratio - beta * w
     return float(np.abs(resid).max())
 
 

@@ -232,15 +232,19 @@ class LevelPartition:
 
 
 def make_thermal_state(landscape: EnergyLandscape, beta: float):
-    """Gibbs state and partition function for a landscape at inverse temperature beta."""
+    """Gibbs state and log partition function for a landscape at inverse
+    temperature beta: the one place a partition function is formed.
+
+    log Z = log sum exp(-beta (E - E_min)) - beta E_min, from the Gibbs state's
+    own weights, so a common energy shift s moves it by -beta s alone.
+    """
     if not (beta > 0 and math.isfinite(beta)):
         raise InvalidInputError("beta must be a positive finite real")
     e = landscape.energies
-    shifted = np.exp(-beta * (e - e.min()))
-    probs = shifted / shifted.sum()
-    with np.errstate(over="ignore"):  # callers raise NumericError on Z = inf
-        z = float(np.exp(-beta * e).sum())
-    return DiagonalState(probs), z
+    e_min = float(e.min())
+    shifted = np.exp(-beta * (e - e_min))
+    total = shifted.sum()
+    return DiagonalState(shifted / total), math.log(total) - beta * e_min
 
 
 def partial_swap_hop_matrix(

@@ -25,7 +25,7 @@ from .engine import (
     work_distribution,
     worst_case_work,
 )
-from .errors import InvalidInputError, NumericError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError
 from .model import (
     DiagonalState,
     EnergyLandscape,
@@ -47,15 +47,9 @@ def _check_normalized(p: np.ndarray, name: str):
 
 
 def d_infinity(p, q) -> float:
-    """Max-relative entropy sup over supp(P) of log(P/Q).
-
-    Accepts two probability vectors, or a forward and a reverse work
-    distribution binned at tolerance 0, Q(w) := q(-w): w and -w pair in runs
-    of adjacent works within DEFAULT_BIN_TOLERANCE, and P and Q are the runs'
-    masses.  Returns +inf when the forward support is not covered.
+    """Max-relative entropy sup over supp(P) of log(P/Q) of two probability
+    vectors.  Returns +inf when the support of P is not covered by Q's.
     """
-    if isinstance(p, WorkDistribution):
-        _, p, q = _paired_runs(p, q)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
@@ -129,13 +123,16 @@ _MILD_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class TildeScenario:
-    """Associated thermal state, its partition function, the protocol with
-    the prepended lowering of the lifted levels, and that protocol's work
-    distribution from the associated thermal state, binned at tolerance 0
-    (``d_infinity`` pairs it with the reverse works)."""
+    """Associated thermal state, its log partition function log Z~, the
+    protocol with the prepended lowering of the lifted levels, and that
+    protocol's work distribution from the associated thermal state, binned at
+    tolerance 0 (the equality reports pair it with the reverse works).
+
+    Z~ is the retained levels' partition function divided by their share
+    1 - p_out of gamma~, so log Z~ = log Z_in - log(1 - p_out)."""
 
     gamma_tilde: DiagonalState
-    z_tilde: float
+    log_z_tilde: float
     tilde_protocol: Protocol
     lifted_energies: dict
     p_out: float
@@ -176,12 +173,11 @@ def build_tilde_scenario(
     if p_out >= 1.0 - 1e-15:
         raise InvalidInputError("retained set carries no probability")
 
-    z_tilde = float(np.exp(-beta * e0[in_idx]).sum() / (1.0 - p_out))
-    if not 0.0 < z_tilde < math.inf:
-        raise NumericError(f"Z~ = {z_tilde!r} is not finite and positive")
+    gibbs_in, log_z_in = make_thermal_state(EnergyLandscape(e0[in_idx]), beta)
+    log_z_tilde = log_z_in - math.log1p(-p_out)
 
     gamma = np.empty(protocol.d)
-    gamma[in_idx] = np.exp(-beta * e0[in_idx]) / z_tilde
+    gamma[in_idx] = gibbs_in.probs * (1.0 - p_out)
     gamma[out_idx] = rho0.probs[out_idx]
     gamma_tilde = DiagonalState(gamma / gamma.sum())
 
@@ -190,7 +186,7 @@ def build_tilde_scenario(
     big = _ZERO_OCCUPATION_LIFT / beta + float(np.abs(e0).max()) + 1.0
     for i in out_idx:
         p_i = float(rho0.probs[i])
-        lifted[int(i)] = (-math.log(p_i * z_tilde) / beta) if p_i > 0 else big
+        lifted[int(i)] = -(math.log(p_i) + log_z_tilde) / beta if p_i > 0 else big
         e_tilde[i] = lifted[int(i)]
 
     lowering = HamiltonianChange(target=protocol.initial, jump=np.eye(protocol.d))
@@ -207,7 +203,7 @@ def build_tilde_scenario(
 
     return TildeScenario(
         gamma_tilde=gamma_tilde,
-        z_tilde=z_tilde,
+        log_z_tilde=log_z_tilde,
         tilde_protocol=tilde_protocol,
         lifted_energies=lifted,
         p_out=p_out,
@@ -219,15 +215,13 @@ def build_tilde_scenario(
 def _equality_terms(rho0, protocol, partition):
     """What both equality reports share: the tilde scenario, the reversed
     tilde protocol's work distribution from the final Gibbs state, the
-    optimum log(Zf/Z~) and the tail bound p_out + V(rho0, gamma~)."""
+    optimum log Zf - log Z~ and the tail bound p_out + V(rho0, gamma~)."""
     scen = build_tilde_scenario(rho0, protocol, partition)
     proto = scen.tilde_protocol
-    gamma_f, z_f = make_thermal_state(proto.final_landscape, proto.beta)
-    if not 0.0 < z_f < math.inf:
-        raise NumericError(f"Zf = {z_f!r} is not finite and positive")
+    gamma_f, log_z_f = make_thermal_state(proto.final_landscape, proto.beta)
     rev = work_distribution(reverse_protocol(proto), gamma_f, 0.0)
     tail_bound = scen.p_out + variation_distance(rho0.probs, scen.gamma_tilde.probs)
-    return scen, rev, math.log(z_f / scen.z_tilde), tail_bound
+    return scen, rev, log_z_f - scen.log_z_tilde, tail_bound
 
 
 def main_equality_report(
@@ -237,7 +231,8 @@ def main_equality_report(
 ) -> EqualityReport:
     """Worst-case work of the retained trajectories versus penalty - optimum."""
     scen, rev, optimum, tail_bound = _equality_terms(rho0, protocol, partition)
-    d_inf = d_infinity(scen.forward, rev)
+    _, p, q = _paired_runs(scen.forward, rev)
+    d_inf = d_infinity(p, q)
     w0_in = worst_case_work(work_distribution(
         protocol, rho0, restrict_start=partition.in_indices()))
     return EqualityReport(

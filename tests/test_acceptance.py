@@ -91,14 +91,15 @@ def test_acceptance_2_fluctuation_relations(report):
     for _ in range(200):
         d = int(rng.integers(2, 5))
         prot = random_protocol(rng, d, int(rng.integers(1, 7)), 1.0)
-        gamma0, z0 = make_thermal_state(prot.initial, prot.beta)
-        gammaf, zf = make_thermal_state(prot.final_landscape, prot.beta)
+        gamma0, log_z0 = make_thermal_state(prot.initial, prot.beta)
+        gammaf, log_zf = make_thermal_state(prot.final_landscape, prot.beta)
         fwd = work_distribution(prot, gamma0)
         rev = work_distribution(reverse_protocol(prot), gammaf)
         worst_crooks = max(
-            worst_crooks, crooks_residual(fwd, rev, z0, zf, prot.beta)
+            worst_crooks, crooks_residual(fwd, rev, log_z0, log_zf, prot.beta)
         )
-        worst_jarz = max(worst_jarz, abs(jarzynski_sum(fwd, prot.beta) - zf / z0))
+        worst_jarz = max(worst_jarz, abs(jarzynski_sum(fwd, prot.beta)
+                                         - math.exp(log_zf - log_z0)))
     elapsed = time.perf_counter() - t0
     ok = worst_crooks < 1e-10 and worst_jarz < 1e-10 and elapsed < 30.0
     report(
@@ -348,7 +349,7 @@ def test_acceptance_8_basis_rotation_counterexample(report):
                         steps=(HamiltonianChange(target=l1, jump=jump),))
         dist = work_distribution(prot, rho0)
         assert worst_case_work(dist) == pytest.approx(1.0)
-        results[name] = dist.prob_at(1.0)
+        results[name] = dict(dist.atoms.tolist())[1.0]
     ok = (
         abs(results["rotation"] - 0.5) < 1e-15
         and abs(results["identity"] - 2.0 / 3.0) < 1e-15

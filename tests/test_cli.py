@@ -513,8 +513,9 @@ def discrete_configs(n=40):
 
 class TestDiscreteOutputUnchanged:
     # sha256 of every run's exit code, stdout and stderr, with and without
-    # --extracted; taken before the lean merge and the shared CLI parser
-    DIGEST = "03e831b89adc83d0dbc66e33893b36877a05f8f24760a6bd142a4c3599df4296"
+    # --extracted; taken when partition functions became logs (1.13.0), whose
+    # equality and crooks values moved by at most 8.9e-16
+    DIGEST = "c33e78600db9d37ba01bea5916fa0d748b853e2923d1a32900ba03eab25ecad6"
 
     def test_discrete_output_unchanged(self, tmp_path, capsys):
         digest, codes = hashlib.sha256(), []
@@ -559,8 +560,6 @@ class TestRejectedInputs:
         assert "--seed is not read by mode 'crooks'" in capsys.readouterr().err
 
 
-# configs whose partition function leaves the double range: a documented
-# numeric failure (exit 4) until Z is carried in log space
 FULL = {"type": "thermalize", "full": True}
 
 
@@ -568,34 +567,25 @@ def change_to(*levels):
     return {"type": "change", "levels": list(levels), "jump": [[1.0, 0.0], [0.0, 1.0]]}
 
 
+def two_level(mode, levels, *steps, **keys):
+    return {"mode": mode, "levels": list(levels), "rho0": [0.5, 0.5],
+            "steps": list(steps), **keys}
+
+
+# a reported value that is not finite is a documented numeric failure (exit 4)
 NUMERIC = {
-    "equality at +1000 kT": ({"mode": "equality", "levels": [1000.0, 1001.0],
-                              "rho0": [0.5, 0.5], "in_levels": [0], "steps": [FULL]},
-                             "Z~ = 0.0 is not finite and positive"),
-    "equality to +1000 kT": ({"mode": "equality", "levels": [0.0, 1.0],
-                              "rho0": [0.5, 0.5], "in_levels": [0],
-                              "steps": [change_to(1000.0, 1001.0)]},
-                             "Zf = 0.0 is not finite and positive"),
-    "equality to -1000 kT": ({"mode": "equality", "levels": [0.0, 1.0],
-                              "rho0": [0.5, 0.5], "in_levels": [0],
-                              "steps": [change_to(-1000.0, -999.0)]},
-                             "Zf = inf is not finite and positive"),
-    "crooks at -800 kT": ({"mode": "crooks", "levels": [-800.0, 0.0],
-                           "rho0": [0.5, 0.5], "steps": [FULL]},
-                          "Zf/Z0 = nan is not finite and positive"),
-    "crooks at +1000 kT": ({"mode": "crooks", "levels": [1000.0, 1001.0],
-                            "rho0": [0.5, 0.5], "steps": [FULL]},
-                           "Zf/Z0 = nan is not finite and positive"),
-    # a reported value that is not finite: the reverse partner's mass
-    # e^-800 * 0.5 underflows, and e^800 in the Jarzynski sum overflows
+    # the reverse partner's mass e^-800 * 0.5 underflows
     "equality with an underflowing partner": (
-        {"mode": "equality", "levels": [0.0, 800.0], "rho0": [0.5, 0.5],
-         "in_levels": [0], "steps": [FULL, change_to(0.0, 0.0)]},
+        two_level("equality", [0.0, 800.0], FULL, change_to(0.0, 0.0), in_levels=[0]),
         "d_infinity = inf is not finite"),
+    # e^800 in the Jarzynski sum overflows
     "crooks with an overflowing Jarzynski sum": (
-        {"mode": "crooks", "levels": [0.0, 800.0], "rho0": [0.5, 0.5],
-         "steps": [change_to(0.0, 0.0)]},
+        two_level("crooks", [0.0, 800.0], change_to(0.0, 0.0)),
         "jarzynski_residual = inf is not finite"),
+    # so do the Jarzynski sum and Zf/Z0 = e^800, whose log is finite
+    "crooks with Zf/Z0 beyond the double range": (
+        two_level("crooks", [0.0, 0.0], change_to(-800.0, -800.0)),
+        "jarzynski_residual = nan is not finite"),
 }
 
 
@@ -607,6 +597,109 @@ class TestNumericFailures:
             assert main(["--config", write_config(tmp_path, doc), *extra]) == 4
             out, err = capsys.readouterr()
             assert out == "" and f"error: numeric: {message}\n" in err
+
+
+# (config, the config it is a common energy shift of, the shift of its
+# works): Z itself leaves the double range, log Z does not
+SHIFTED = {
+    "equality at +1000 kT": (
+        two_level("equality", [1000.0, 1001.0], FULL, in_levels=[0]),
+        two_level("equality", [0.0, 1.0], FULL, in_levels=[0]), 0.0),
+    "equality to +1000 kT": (
+        two_level("equality", [0.0, 1.0], change_to(1000.0, 1001.0), in_levels=[0]),
+        two_level("equality", [0.0, 1.0], change_to(0.0, 1.0), in_levels=[0]), 1000.0),
+    "equality to -1000 kT": (
+        two_level("equality", [0.0, 1.0], change_to(-1000.0, -999.0), in_levels=[0]),
+        two_level("equality", [0.0, 1.0], change_to(0.0, 1.0), in_levels=[0]), -1000.0),
+    "crooks at -800 kT": (two_level("crooks", [-800.0, 0.0], FULL),
+                          two_level("crooks", [0.0, 800.0], FULL), 0.0),
+    "crooks at +1000 kT": (two_level("crooks", [1000.0, 1001.0], FULL),
+                           two_level("crooks", [0.0, 1.0], FULL), 0.0),
+}
+
+
+class TestShiftedConfigs:
+    @pytest.mark.parametrize("name", sorted(SHIFTED))
+    def test_reports_as_its_unshifted_config(self, name, tmp_path, capsys):
+        doc, unshifted, shift = SHIFTED[name]
+        for extra, sign in (([], 1.0), (["--extracted"], -1.0)):
+            reports = []
+            for d in (doc, unshifted):
+                assert main(["--config", write_config(tmp_path, d), *extra]) == 0
+                reports.append(json.loads(capsys.readouterr().out))
+            got, want = reports
+            # w0_in moves with the works, the optimum log Zf - log Z~ against them
+            moved = {"w0_in": sign * shift, "optimum": -shift}
+            assert got == pytest.approx(
+                {k: v + moved[k] if k in moved else v for k, v in want.items()},
+                abs=1e-9)
+
+
+@st.composite
+def shift_cases(draw):
+    """A discrete protocol, the configs of its three reports (the equality
+    at eps = 0 and at eps > 0, and crooks from the Gibbs state), and a common
+    energy shift s.  Energies are multiples of 1/8 kT in [-1, 1] and mixing
+    weights multiples of 1/8, so that no mass is subnormal, and two works, or
+    a tail mass and eps, are equal or far apart on the scale of the shift's
+    rounding."""
+    d = draw(st.integers(2, 4))
+    energies = st.lists(st.integers(-8, 8).map(lambda k: k / 8), min_size=d, max_size=d)
+    eighths = st.integers(0, 8).map(lambda k: k / 8)
+    levels = current = draw(energies)
+    steps = []
+    for kind in draw(st.lists(st.sampled_from(["change", "full", "hop"]),
+                              min_size=1, max_size=5)):
+        if kind == "change":
+            current = draw(energies)
+            a, perm = draw(eighths), draw(st.permutations(range(d)))
+            jump = (1 - a) * np.eye(d) + a * np.eye(d)[list(perm)]
+            steps.append({"type": "change", "levels": current, "jump": jump.tolist()})
+        elif kind == "full":
+            steps.append({"type": "thermalize", "full": True})
+        else:
+            gibbs = np.exp(-np.array(current))
+            a = draw(eighths)
+            hop = (1 - a) * np.eye(d) + a * np.outer(gibbs / gibbs.sum(), np.ones(d))
+            steps.append({"type": "thermalize", "hop": hop.tolist()})
+    weights = np.array(draw(st.lists(st.integers(0, 8), min_size=d, max_size=d)
+                            .filter(any)), dtype=float)
+    rho0 = (weights / weights.sum()).tolist()
+    in_levels = sorted({int(np.argmax(weights)),
+                        *draw(st.lists(st.integers(0, d - 1), max_size=d))})
+    gibbs = np.exp(-np.array(levels))
+    base = {"levels": levels, "steps": steps}
+    docs = [dict(base, mode="equality", rho0=rho0, in_levels=in_levels),
+            dict(base, mode="equality", rho0=rho0, in_levels=in_levels,
+                 eps=draw(st.sampled_from([0.0517, 0.2113]))),
+            dict(base, mode="crooks", rho0=(gibbs / gibbs.sum()).tolist())]
+    return docs, draw(st.floats(-1e4, 1e4))
+
+
+def shifted(doc, s):
+    doc = json.loads(json.dumps(doc))
+    doc["levels"] = [e + s for e in doc["levels"]]
+    for step in doc["steps"]:
+        if step["type"] == "change":
+            step["levels"] = [e + s for e in step["levels"]]
+    return doc
+
+
+class TestCommonEnergyShift:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=shift_cases())
+    def test_reports_unchanged(self, case, tmp_path, capsys):
+        # the equality depends on energy differences only: a common shift
+        # moves no reported value, though Z itself leaves the double range
+        docs, s = case
+        for doc in docs:
+            reports = []
+            for d in (doc, shifted(doc, s)):
+                assert main(["--config", write_config(tmp_path, d)]) == 0, \
+                    capsys.readouterr().err
+                reports.append(json.loads(capsys.readouterr().out))
+            assert reports[1] == pytest.approx(reports[0], abs=1e-9), doc["mode"]
 
 
 class TestSharedParser:

@@ -175,11 +175,19 @@ class TestThermalState:
             d = rng.integers(2, 6)
             e = rng.normal(size=d)
             beta = rng.uniform(0.2, 3.0)
-            gamma, z = make_thermal_state(EnergyLandscape(e), beta)
+            gamma, log_z = make_thermal_state(EnergyLandscape(e), beta)
             weights = np.exp(-beta * e)
-            assert z == pytest.approx(weights.sum(), rel=1e-12)
+            assert math.exp(log_z) == pytest.approx(weights.sum(), rel=1e-12)
             np.testing.assert_allclose(gamma.probs, weights / weights.sum(),
                                        rtol=1e-12)
+
+    @pytest.mark.parametrize("e", [[-1e5, 0.0], [1e5, 1e5 + 1.0]])
+    def test_log_partition_function_beyond_the_double_range(self, e):
+        # Z is e^(1e5) or e^(-1e5), which no double holds
+        _, log_z = make_thermal_state(EnergyLandscape(e), 1.0)
+        low = min(e)
+        expected = math.fsum([-low, math.log(math.fsum(math.exp(low - x) for x in e))])
+        assert log_z == pytest.approx(expected, rel=1e-15)
 
     def test_shift_invariant_probabilities(self):
         e = np.array([0.0, 1.0, -2.0])

@@ -60,6 +60,7 @@ class TestDInfinity:
             d_infinity([0.5, 0.5], [0.2, 0.3, 0.5])
 
     def test_work_distribution_overload(self):
+        # D_inf of the paired forward and reverse work distributions in the
         # degenerate-levels scenario: forward starts from (0.9, 0.1); all work
         # values are 0, so D_inf reduces to a plain ratio of masses at w = 0.
         prot = degenerate_thermalize_protocol()
@@ -68,7 +69,7 @@ class TestDInfinity:
         scen = build_tilde_scenario(rho0, prot, part)
         rep = main_equality_report(rho0, prot, part)
         assert rep.d_infinity_term == pytest.approx(math.log(1.8), abs=1e-12)
-        assert scen.z_tilde == pytest.approx(1 / 0.9)
+        assert scen.log_z_tilde == pytest.approx(-math.log(0.9))
 
 
 class TestDZeroAndMaxEntropy:
@@ -159,9 +160,9 @@ class TestTildeScenario:
         rho0 = DiagonalState(np.array([0.9, 0.1]))
         part = LevelPartition(in_set=frozenset({0}), d=2)
         scen = build_tilde_scenario(rho0, prot, part)
-        assert scen.z_tilde == pytest.approx(1 / 0.9)
+        assert scen.log_z_tilde == pytest.approx(-math.log(0.9))
         assert scen.p_out == pytest.approx(0.1)
-        # lifted level 1 satisfies exp(-beta*E) / z_tilde = 0.1, so E = ln 9
+        # lifted level 1 satisfies exp(-beta*E) / Z~ = 0.1, so E = ln 9
         assert scen.lifted_energies == pytest.approx({1: math.log(9.0)})
         np.testing.assert_allclose(scen.gamma_tilde.probs, [0.9, 0.1])
         assert scen.mild_assumption_ok
@@ -356,12 +357,12 @@ class TestMarkovBound:
                 Thermalization(hop=partial_swap_hop_matrix(l1, 1.0, 1.0)),
             ),
         )
-        rho0, z0 = make_thermal_state(l0, 1.0)
+        rho0, log_z0 = make_thermal_state(l0, 1.0)
         dist = work_distribution(prot, rho0)
         mean_w = float(np.dot(dist.works, dist.probs))
-        _, z_f = make_thermal_state(l1, 1.0)
+        _, log_z_f = make_thermal_state(l1, 1.0)
         eps = 0.25
-        bound = markov_d_infinity_bound(mean_w, eps, 1.0, math.log(z0 / z_f))
+        bound = markov_d_infinity_bound(mean_w, eps, 1.0, log_z0 - log_z_f)
         part = LevelPartition(in_set=frozenset({0, 1}), d=2)
         rep = work_tail_equality_report(rho0, prot, part, eps)
         assert rep.d_infinity_term <= bound + 1e-10
@@ -385,11 +386,11 @@ class TestPairingAtTheBinTolerance:
     @given(case=planted_gap_protocols())
     def test_relations_hold_across_planted_gaps(self, case):
         prot, occupations, in_set = case
-        gamma0, z0 = make_thermal_state(prot.initial, 1.0)
-        gamma_f, zf = make_thermal_state(prot.final_landscape, 1.0)
+        gamma0, log_z0 = make_thermal_state(prot.initial, 1.0)
+        gamma_f, log_zf = make_thermal_state(prot.final_landscape, 1.0)
         fwd = work_distribution(prot, gamma0, 0.0)
         rev = work_distribution(reverse_protocol(prot), gamma_f, 0.0)
-        assert crooks_residual(fwd, rev, z0, zf, 1.0) < 1e-8
+        assert crooks_residual(fwd, rev, log_z0, log_zf, 1.0) < 1e-8
         rho0 = DiagonalState(occupations)
         part = LevelPartition(in_set=frozenset(in_set), d=prot.d)
         main = main_equality_report(rho0, prot, part)
