@@ -3,11 +3,11 @@
 A trajectory visits one level per protocol node (len(steps) + 1 nodes); its
 probability is the initial occupation times the product of transition matrix
 entries, and its work is the sum of per-change energy differences.  Instead
-of expanding every trajectory, the recursion carries entries (start level,
-current level, work, probability) from step to step and merges, after every
-step, the entries that share a start and a level and whose works coincide.
-Whenever work values recur, as on the lattice of a discretized ramp, the
-number of live entries stays polynomial in the number of steps.
+of expanding every trajectory, the recursion carries a (work x level) table
+of masses over sorted distinct works.  A thermalization only mixes each row's
+levels; a level change sorts its candidates' works once and merges all works
+within the merge tolerance, whatever their levels.  Whenever works recur, as
+on the lattice of a discretized ramp, the table stays polynomial in the steps.
 """
 
 from __future__ import annotations
@@ -59,71 +59,68 @@ class WorkDistribution:
 
 
 def _merge(key, work, prob, tol):
-    """Sort entries by (key, work) and merge each run of one key whose
-    adjacent works lie within ``tol``: masses add, and the merged work is the
-    probability-weighted mean, taken as an offset from the run's first work
-    so that an unmerged entry, or a run of zero mass, keeps its first work
-    exactly."""
-    order = np.lexsort((work, key))
-    key, work, prob = key[order], work[order], prob[order]
-    head = np.empty(key.size, dtype=bool)  # True where a run starts
-    head[0] = True
-    np.not_equal(key[1:], key[:-1], out=head[1:])
-    head[1:] |= work[1:] - work[:-1] > tol
+    """Sort entries by (key, work), or by work where ``key`` is None, and merge
+    each run of one key whose adjacent works lie within ``tol``: masses add,
+    and the merged work is the probability-weighted mean, taken as an offset
+    from the run's first work so that an unmerged entry, or a run of zero
+    mass, keeps its first work exactly.  Also returns each entry's run."""
+    order = np.argsort(work, kind="stable") if key is None else np.lexsort((work, key))
+    work, prob = work[order], prob[order]
+    head = np.concatenate([[True], work[1:] - work[:-1] > tol])  # run starts
+    if key is not None:
+        key = key[order]
+        head[1:] |= key[1:] != key[:-1]
+        key = key[head]
     first = head.nonzero()[0]
     base = work[first]
     mass = np.add.reduceat(prob, first)
-    offset = work - base[head.cumsum() - 1]
-    shift = np.add.reduceat(offset * prob, first)
+    run = head.cumsum() - 1
+    shift = np.add.reduceat((work - base[run]) * prob, first)
     np.divide(shift, mass, out=shift, where=mass > 0)
-    return key[first], base + shift, mass
+    entry_run = np.empty_like(run)
+    entry_run[order] = run
+    return key, base + shift, mass, entry_run
 
 
 def _paired_runs(fwd: WorkDistribution, rev: WorkDistribution):
-    """The one pairing of forward works w with reverse works -w: sorted together,
-    they form runs of adjacent works within DEFAULT_BIN_TOLERANCE (``_merge``'s
-    rule).  Each run's work, forward mass and reverse mass are ``_merge``'s of
-    its forward atoms (of its reverse atoms where it has none)."""
-    works = np.concatenate([fwd.works, -rev.works])
-    ordered = np.sort(works)
-    heads = ordered[np.concatenate([[True], np.diff(ordered) > DEFAULT_BIN_TOLERANCE])]
-    run, n = np.searchsorted(heads, works, side="right") - 1, fwd.works.size
-    rev_run, rev_work, rev_mass = _merge(run[n:], works[n:], rev.probs, math.inf)
-    fwd_run, fwd_work, fwd_mass = _merge(run[:n], works[:n], fwd.probs, math.inf)
-    w, p, q = np.zeros((3, heads.size))
+    """The one pairing of forward works w with reverse works -w: ``_merge`` cuts
+    them, sorted together, into runs of adjacent works within
+    DEFAULT_BIN_TOLERANCE.  Each run's work, forward mass and reverse mass are
+    ``_merge``'s of its forward atoms (of its reverse atoms where it has none)."""
+    works, n = np.concatenate([fwd.works, -rev.works]), fwd.works.size
+    _, _, _, run = _merge(None, works, np.ones(works.size), DEFAULT_BIN_TOLERANCE)
+    rev_run, rev_work, rev_mass, _ = _merge(run[n:], works[n:], rev.probs, math.inf)
+    fwd_run, fwd_work, fwd_mass, _ = _merge(run[:n], works[:n], fwd.probs, math.inf)
+    w, p, q = np.zeros((3, run.max() + 1))
     w[rev_run], q[rev_run] = rev_work, rev_mass
     w[fwd_run], p[fwd_run] = fwd_work, fwd_mass
     return w, p, q
 
 
-def _forward(protocol: Protocol, rho0: DiagonalState):
-    """Final (start level, work, probability) entries of the exact recursion."""
-    d = protocol.d
-    if rho0.d != d:
-        raise InvalidInputError("state dimension does not match protocol")
-    energies, levels = protocol.initial.energies, np.arange(d)
-    level = start = (rho0.probs > 0).nonzero()[0]
-    work = np.zeros(start.size)
-    prob = rho0.probs[start]
+def _forward(protocol: Protocol, rho0: np.ndarray):
+    """Sorted works, each more than the merge tolerance from the next, and
+    their masses, by the exact recursion from the occupations ``rho0``."""
+    d, energies = protocol.d, protocol.initial.energies
+    work, prob = np.zeros(1), rho0[None, :]
     for step in protocol.steps:
-        if level.size * d > LIVE_ENTRY_CAP:
+        if prob.size * d > LIVE_ENTRY_CAP:
             raise ResourceLimitError(
-                f"{level.size} live atoms times {d} levels exceed the cap of "
-                f"{LIVE_ENTRY_CAP}; use Monte Carlo sampling instead"
-            )
-        new_prob = (prob[:, None] * step.matrix[:, level].T).ravel()
-        if isinstance(step, HamiltonianChange):
-            d_e = step.target.energies[None, :] - energies[level][:, None]
-            energies = step.target.energies
-            new_work = (work[:, None] + d_e).ravel()
-        else:
-            new_work = work.repeat(d)
-        key = (start[:, None] * d + levels).ravel()
-        live = new_prob > 0
-        key, work, prob = _merge(key[live], new_work[live], new_prob[live],
-                                 _MERGE_TOLERANCE)
-        start, level = np.divmod(key, d)
-    return start, work, prob
+                f"{prob.size} live entries times {d} levels exceed the cap of "
+                f"{LIVE_ENTRY_CAP}; use Monte Carlo sampling instead")
+        m, n = step.matrix, work.size
+        if not isinstance(step, HamiltonianChange):
+            prob = sum(prob[:, lv, None] * m[:, lv] for lv in range(d))
+            continue
+        # candidates in (level, new level, row) blocks, each sorted by work
+        cand = (m.T[:, :, None] * prob.T[:, None, :]).ravel()
+        cand_work = (work + (step.target.energies - energies[:, None])[:, :, None]).ravel()
+        energies = step.target.energies
+        live = np.flatnonzero(cand > 0)
+        _, work, _, run = _merge(None, cand_work[live], cand[live], _MERGE_TOLERANCE)
+        prob = np.bincount(run * d + live // n % d, weights=cand[live],
+                           minlength=work.size * d).reshape(work.size, d)
+    mass = prob.sum(axis=1)
+    return work[mass > 0], mass[mass > 0]
 
 
 def bin_works(
@@ -131,25 +128,18 @@ def bin_works(
 ) -> WorkDistribution:
     """Merge work values into atoms whenever adjacent sorted values are within
     bin_tolerance; atom positions are probability-weighted means."""
-    works = np.asarray(works, dtype=float)
-    probs = np.asarray(probs, dtype=float)
+    works, probs = np.asarray(works, dtype=float), np.asarray(probs, dtype=float)
     if works.size == 0:
         raise InvalidInputError("no trajectories to bin")
-    _, w, p = _merge(np.zeros(works.size, dtype=int), works, probs, bin_tolerance)
+    _, w, p, _ = _merge(None, works, probs, bin_tolerance)
     return WorkDistribution(atoms=np.column_stack([w, p]))
 
 
-def _distribution(entries, bin_tolerance=DEFAULT_BIN_TOLERANCE, restrict_start=None):
-    """Bin the recursion's final entries, optionally conditioned on the
-    trajectories that start in the levels ``restrict_start``."""
-    start, work, prob = entries
-    if restrict_start is not None:
-        sel = np.isin(start, np.fromiter(restrict_start, dtype=int))
-        work, prob = work[sel], prob[sel]
-        if prob.size == 0:
-            raise InvalidInputError("no trajectories start in the restricted set")
-        prob = prob / prob.sum()
-    return bin_works(work, prob, bin_tolerance)
+def _masked(rho0: DiagonalState, levels) -> np.ndarray:
+    """The occupations of ``levels``, zero elsewhere; indices out of range are ignored."""
+    keep = np.zeros(rho0.d, dtype=bool)
+    keep[[i for i in levels if 0 <= i < rho0.d]] = True
+    return np.where(keep, rho0.probs, 0.0)
 
 
 def work_distribution(
@@ -161,10 +151,31 @@ def work_distribution(
     """Exact work distribution.
 
     With ``restrict_start`` (an iterable of level indices) the distribution is
-    conditioned on trajectories starting in those levels.  Works closer than
-    the merge tolerance (1e-10) are merged whatever ``bin_tolerance``.
+    conditioned on trajectories starting in those levels: the recursion runs
+    from their occupations alone and is renormalized.  Works closer than the
+    merge tolerance (1e-10) are merged whatever ``bin_tolerance``.
     """
-    return _distribution(_forward(protocol, rho0), bin_tolerance, restrict_start)
+    if rho0.d != protocol.d:
+        raise InvalidInputError("state dimension does not match protocol")
+    probs = rho0.probs if restrict_start is None else _masked(rho0, restrict_start)
+    if not probs.any():
+        raise InvalidInputError("no trajectories start in the restricted set")
+    work, prob = _forward(protocol, probs)
+    if restrict_start is not None:
+        prob = prob / prob.sum()
+    return bin_works(work, prob, bin_tolerance)
+
+
+def _max_work(protocol: Protocol, rho0: np.ndarray) -> float:
+    """Largest work over the paths from the levels occupied in ``rho0`` whose
+    every step has positive probability: a max-plus recursion over levels."""
+    best, energies = np.where(rho0 > 0, 0.0, -np.inf), protocol.initial.energies
+    for step in protocol.steps:
+        d_e = 0.0
+        if isinstance(step, HamiltonianChange):
+            d_e, energies = step.target.energies[:, None] - energies, step.target.energies
+        best = np.where(step.matrix > 0, best + d_e, -np.inf).max(axis=1)
+    return float(best.max())
 
 
 def worst_case_work(dist: WorkDistribution) -> float:

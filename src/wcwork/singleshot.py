@@ -17,8 +17,9 @@ import numpy as np
 
 from .engine import (
     WorkDistribution,
-    _distribution,
     _forward,
+    _masked,
+    _max_work,
     _paired_runs,
     epsilon_guaranteed_work,
     variation_distance,
@@ -116,8 +117,8 @@ def smooth_d_zero(rho: DiagonalState, sigma: DiagonalState, eps: float) -> float
 # lifted levels with exactly zero occupation get a finite energy large enough
 # that their Gibbs weight underflows to 0.0 in double precision
 _ZERO_OCCUPATION_LIFT = 800.0
-# the mild assumption holds when the worst-case works of the full and the
-# retained-set tilde distributions agree within this
+# the mild assumption holds when the largest works over the tilde scenario's
+# paths from every start and from the retained starts agree within this
 _MILD_TOLERANCE = 1e-9
 
 
@@ -196,10 +197,9 @@ def build_tilde_scenario(
         steps=(lowering,) + tuple(protocol.steps),
     )
 
-    entries = _forward(tilde_protocol, gamma_tilde)
-    full = _distribution(entries, 0.0)
-    w0_in_tilde = worst_case_work(_distribution(entries, 0.0, in_idx))
-    mild_ok = abs(worst_case_work(full) - w0_in_tilde) <= _MILD_TOLERANCE
+    full = work_distribution(tilde_protocol, gamma_tilde, 0.0)
+    mild_ok = abs(_max_work(tilde_protocol, gamma_tilde.probs)
+                  - _max_work(tilde_protocol, _masked(gamma_tilde, in_idx))) <= _MILD_TOLERANCE
 
     return TildeScenario(
         gamma_tilde=gamma_tilde,
@@ -277,10 +277,12 @@ def out_of_set_probability(
 ) -> float:
     """Probability (under the actual protocol and state) that a trajectory
     starts outside the retained levels or exceeds the work threshold."""
-    start, work, prob = _forward(protocol, rho0)
-    in_mask = np.isin(start, partition.in_indices())
-    bad = (~in_mask) | (work > w_threshold + 1e-9)
-    return float(prob[bad].sum())
+    if partition.d != protocol.d or rho0.d != protocol.d:
+        raise InvalidInputError("partition/state dimension mismatch")
+    rho_in = _masked(rho0, partition.in_indices())
+    work, prob = _forward(protocol, rho_in) if rho_in.any() else np.zeros((2, 0))
+    return float(rho0.probs[partition.out_indices()].sum()
+                 + prob[work > w_threshold + 1e-9].sum())
 
 
 def markov_d_infinity_bound(

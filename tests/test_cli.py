@@ -513,9 +513,10 @@ def discrete_configs(n=40):
 
 class TestDiscreteOutputUnchanged:
     # sha256 of every run's exit code, stdout and stderr, with and without
-    # --extracted; taken when partition functions became logs (1.13.0), whose
-    # equality and crooks values moved by at most 8.9e-16
-    DIGEST = "c33e78600db9d37ba01bea5916fa0d748b853e2923d1a32900ba03eab25ecad6"
+    # --extracted; taken when the exact recursion became one (work x level)
+    # table (1.14.0), whose equality, crooks and enumerate values moved by at
+    # most 8.9e-16
+    DIGEST = "fcde989ed627f7e7db470e09f17a2346a1903ffcfc93d745985c0173331b1c68"
 
     def test_discrete_output_unchanged(self, tmp_path, capsys):
         digest, codes = hashlib.sha256(), []

@@ -37,6 +37,7 @@ from wcwork import (
 from tests_support import (
     drawn_protocols,
     enumerate_paths,
+    max_work_oracle,
     merge_oracle,
     oracle_atoms,
     partial_swap_chain_protocol,
@@ -192,6 +193,36 @@ class TestRecursionMatchesOracle:
         assert time.perf_counter() - t0 < 5.0
 
 
+class TestMergeRule:
+    """Works closer than the merge tolerance are merged whatever the bin
+    tolerance, also where they arrive in different levels."""
+
+    @pytest.mark.parametrize("start", [[1.0, 0.0], [0.5, 0.5]])
+    @pytest.mark.parametrize("n_steps", [200, 800])
+    def test_electron_box_chain_at_tolerance_zero(self, n_steps, start):
+        # on linear_ramp(8, 0, 24) each level change moves the splitting by
+        # one quantum, so a path's work is that quantum times the number of
+        # steps it spends excited: n + 1 values.  Paths that reach one value
+        # through different levels round it differently in the last bits
+        params = EboxParams(gamma0=1.0, eps_c=1.0, beta=1.0)
+        prot = partial_swap_chain_protocol(linear_ramp(8.0, 0.0, 24.0), n_steps, params)
+        dist = work_distribution(prot, DiagonalState(np.array(start)), 0.0)
+        assert len(dist.atoms) == n_steps + 1
+        assert np.diff(dist.works).min() > 1e-10
+
+
+class TestMaxWork:
+    @settings(max_examples=200, deadline=None)
+    @given(prot=drawn_protocols(), data=st.data())
+    def test_matches_path_walk(self, prot, data):
+        # drawn jumps mix one to three permutations and swap probabilities
+        # may be 0, so most matrices have structural zeros
+        starts = sorted(data.draw(st.sets(st.integers(0, prot.d - 1), min_size=1)))
+        occupied = np.zeros(prot.d)
+        occupied[starts] = data.draw(st.floats(2.0**-1074, 1.0))
+        assert engine._max_work(prot, occupied) == max_work_oracle(prot, starts)
+
+
 # powers of two, so that works on the grid m * tol lie exactly tol apart
 MERGE_TOLERANCES = (2.0**-33, 2.0**-30, 0.25)
 
@@ -264,6 +295,14 @@ class TestWorkDistribution:
         rho0 = DiagonalState(np.array([0.5, 0.5]))
         dist = work_distribution(prot, rho0, restrict_start=np.array([1]))
         assert dist.atoms.tolist() == [[3.0, pytest.approx(1.0)]]
+
+    def test_restrict_start_ignores_levels_out_of_range(self):
+        prot = lift_protocol(delta=3.0)
+        rho0 = DiagonalState(np.array([0.5, 0.5]))
+        want = work_distribution(prot, rho0, restrict_start=[0]).atoms
+        for levels in ([0, -1], (0, 7)):
+            got = work_distribution(prot, rho0, restrict_start=levels).atoms
+            assert np.array_equal(got, want)
 
     def test_unsorted_atoms_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -343,6 +343,15 @@ class TestFailureProbabilityBound:
         # all work values are zero; failure = starting on the excluded level
         assert out_of_set_probability(rho0, prot, part, 0.0) == pytest.approx(0.1)
 
+    def test_empty_retained_set(self):
+        # no mass starts in the retained set: every trajectory fails
+        l1 = EnergyLandscape(np.array([0.0, 1.5]))
+        prot = Protocol(initial=EnergyLandscape(np.zeros(2)), beta=1.0,
+                        steps=(HamiltonianChange(target=l1, jump=np.eye(2)),))
+        part = LevelPartition(in_set=frozenset({0}), d=2)
+        assert out_of_set_probability(DiagonalState(np.array([0.0, 1.0])), prot,
+                                      part, 0.0) == 1.0
+
 
 class TestMarkovBound:
     def test_bounds_d_infinity_for_nonnegative_work(self):
@@ -363,6 +372,10 @@ class TestMarkovBound:
         _, log_z_f = make_thermal_state(l1, 1.0)
         eps = 0.25
         bound = markov_d_infinity_bound(mean_w, eps, 1.0, log_z0 - log_z_f)
+        # <w> = 0.75, Z0 = 2 and Zf = 1 + e^-1.5
+        assert bound == pytest.approx(
+            3.0 - math.log(0.75) + math.log(2.0) - math.log1p(math.exp(-1.5)),
+            rel=0, abs=1e-12)
         part = LevelPartition(in_set=frozenset({0, 1}), d=2)
         rep = work_tail_equality_report(rho0, prot, part, eps)
         assert rep.d_infinity_term <= bound + 1e-10

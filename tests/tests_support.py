@@ -1,5 +1,6 @@
 """Shared helpers for the test suite, a hypothesis strategy of drawn
-protocols, the path-walk oracle, the entry-by-entry merge oracle, the first
+protocols, the path-walk oracles of the work distribution and of the
+largest work, the entry-by-entry merge oracle, the first
 form of the column-stochastic check, the subset-by-subset smoothed-D0
 oracle, the stage-by-stage RK4 reference for the electron box, and the
 electron box's partial-swap chain as a discrete protocol.
@@ -167,6 +168,29 @@ def oracle_atoms(protocol, rho0, bin_tolerance=1e-9, restrict_start=None):
     cuts = np.flatnonzero(np.diff(w) > bin_tolerance) + 1
     return [(float(np.dot(sw, sp) / sp.sum()), float(sp.sum()))
             for sw, sp in zip(np.split(w, cuts), np.split(p, cuts))]
+
+
+def max_work_oracle(protocol, starts):
+    """Largest work over the paths from the levels ``starts`` whose every
+    step has a positive matrix entry, by walking each such path depth first
+    and adding its energy differences in path order."""
+    lands = protocol.landscapes()
+    best = -math.inf
+
+    def walk(k, level, work):
+        nonlocal best
+        if k == len(protocol.steps):
+            best = max(best, work)
+            return
+        step = protocol.steps[k]
+        change = isinstance(step, HamiltonianChange)
+        for j in np.flatnonzero(step.matrix[:, level] > 0).tolist():
+            d_e = lands[k + 1].energies[j] - lands[k].energies[level] if change else 0.0
+            walk(k + 1, j, work + d_e)
+
+    for i in starts:
+        walk(0, int(i), 0.0)
+    return best
 
 
 def reduceat_sum(terms):
