@@ -1,7 +1,8 @@
 """Command-line front end.
 
-One run = one JSON config file: a JSON object whose ``mode`` key selects the
-computation, and ``_SCHEMA`` lists every other key the mode reads:
+One run = one JSON config file, its only input (``--out`` only redirects the
+output): a JSON object whose ``mode`` key selects the computation, and
+``_SCHEMA`` lists every other key the mode reads:
 
   enumerate     exact work distribution of a discrete protocol (CSV: w,p)
   equality      worst-case-work equality report (flat JSON)
@@ -13,7 +14,7 @@ computation, and ``_SCHEMA`` lists every other key the mode reads:
 
 Exit codes: 0 success, 2 invalid input/config or an unwritable ``--out``,
 3 resource limit exceeded, 4 numerical failure.  Floats print as repr-faithful
-%.17g, so output is byte-reproducible for a given config and seed.
+%.17g, so output is byte-reproducible for a given config.
 """
 
 import argparse
@@ -154,23 +155,25 @@ _RAMP = _tagged("shape", {
 # Philox keys are 64-bit; ebox-sweep adds the duration index to the seed
 _SEED = _count(0, 2**63 - 1)
 
-_UNITS = {"energy_units": (_choice("kT", "absolute"), "kT"),
-          "beta": (_real, None)}  # beta: resolved by load_config
-_DISCRETE = {**_UNITS, "levels": (_vector, _REQUIRED),
+_BETA = {"beta": (_real, 1.0)}  # 1: energies in kT
+_EXTRACTED = {"extracted": (_choice(True, False), False)}  # report -w
+_DISCRETE = {**_BETA, "levels": (_vector, _REQUIRED),
              "rho0": (_vector, _REQUIRED), "steps": (_list(_STEP), _REQUIRED)}
-_EBOX = {**_UNITS, "gamma0": (_real, _REQUIRED), "eps_c": (_real, _REQUIRED)}
+_EBOX = {**_BETA, "gamma0": (_real, _REQUIRED), "eps_c": (_real, _REQUIRED)}
 _RAMPED = {**_EBOX, "ramp": (_RAMP, _REQUIRED),
            "rho0": (_vector_or(_choice("gibbs")), "gibbs")}
 _SAMPLED = {"n_traj": (_count(1), _REQUIRED), "n_steps": (_count(1), _REQUIRED),
             "seed": (_SEED, ebox.DEFAULT_SEED)}
 
 _SCHEMA = {
-    "enumerate": {**_DISCRETE, "bin_tolerance": (_real, engine.DEFAULT_BIN_TOLERANCE)},
-    "equality": {**_DISCRETE, "in_levels": (_list(_count(0)), _REQUIRED),
+    "enumerate": {**_DISCRETE, **_EXTRACTED,
+                  "bin_tolerance": (_real, engine.DEFAULT_BIN_TOLERANCE)},
+    "equality": {**_DISCRETE, **_EXTRACTED, "in_levels": (_list(_count(0)), _REQUIRED),
                  "eps": (_real, 0.0)},
     "crooks": _DISCRETE,
-    "ebox-mc": {**_RAMPED, **_SAMPLED, "n_bins": (_count(1), 60)},
-    "ebox-series": {**_RAMPED, "j_max": (_count(0), 3), "w_grid": (_vector, _REQUIRED)},
+    "ebox-mc": {**_RAMPED, **_SAMPLED, **_EXTRACTED, "n_bins": (_count(1), 60)},
+    "ebox-series": {**_RAMPED, **_EXTRACTED, "j_max": (_count(0), 3),
+                    "w_grid": (_vector, _REQUIRED)},
     "ebox-charfn": {**_RAMPED, "xi_values": (_vector, _REQUIRED),
                     "n_steps": (_count(1), 2000)},
     "ebox-sweep": {**_EBOX, **_SAMPLED, "durations": (_vector, _REQUIRED),
@@ -183,7 +186,7 @@ _CONFIG = _tagged("mode", _SCHEMA)
 
 def load_config(path: str) -> dict:
     """The config at ``path`` as a dict of converted values: every key its mode
-    reads, defaults filled in, and ``beta`` resolved from ``energy_units``."""
+    reads, defaults filled in."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -191,14 +194,7 @@ def load_config(path: str) -> dict:
         raise InvalidInputError(f"cannot read config: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"config is not valid JSON: {exc}") from exc
-    cfg = _CONFIG(doc, "")
-    if cfg["energy_units"] == "kT":
-        if cfg["beta"] not in (None, 1.0):
-            raise InvalidInputError("beta must be 1 when energy_units is kT")
-        cfg["beta"] = 1.0
-    elif cfg["beta"] is None:
-        raise InvalidInputError("beta is required when energy_units is absolute")
-    return cfg
+    return _CONFIG(doc, "")
 
 
 def _build_protocol(cfg):
@@ -238,7 +234,9 @@ def _json(doc):  # a value that is not finite is a NumericError, not JSON
     return json.dumps(doc, indent=2, default=float) + "\n"
 
 
-def _run(cfg: dict, extracted: bool) -> str:
+def _run(cfg: dict) -> str:
+    extracted = cfg.get("extracted", False)
+
     def signed(w):
         # 0.0 - w, unlike -w, maps a zero work to +0.0
         return 0.0 - w if extracted else w
@@ -299,7 +297,7 @@ def _run(cfg: dict, extracted: bool) -> str:
             # degenerate sample set (e.g. decoupled bath): emit the atom
             return _csv_lines("w,p", [(signed(dist.samples[0]), 1.0)])
         counts, edges = np.histogram(signed(dist.samples), bins=cfg["n_bins"])
-        density = counts / (dist.n * np.diff(edges))
+        density = counts / (dist.samples.size * np.diff(edges))
         return _csv_lines("w_lo,w_hi,density", zip(edges[:-1], edges[1:], density))
 
     if mode == "ebox-series":
@@ -324,23 +322,13 @@ _PARSER = argparse.ArgumentParser(prog="wcwork", description=(
     "Work statistics of driven systems coupled to a heat bath."))
 _PARSER.add_argument("--config", required=True, help="path to a JSON config")
 _PARSER.add_argument("--out", help="output file (default: stdout)")
-_PARSER.add_argument("--seed", type=int,
-                     help="RNG seed of ebox-mc and ebox-sweep, in place of "
-                          f"the config's (default {ebox.DEFAULT_SEED})")
-_PARSER.add_argument("--extracted", action="store_true",
-                     help="report extracted work (-w) instead of work cost")
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            if "seed" not in cfg:
-                raise InvalidInputError(f"--seed is not read by mode '{cfg['mode']}'")
-            cfg["seed"] = _SEED(args.seed, "--seed")
-        text = _run(cfg, args.extracted)
+        text = _run(load_config(args.config))
         if args.out:
             try:
                 with open(args.out, "w") as fh:

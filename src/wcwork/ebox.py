@@ -253,13 +253,10 @@ def partial_swap_chain(ramp: Ramp, p0, n_steps: int, params: EboxParams):
 
 @dataclass(frozen=True)
 class WorkSamples:
-    """Monte Carlo work samples, the final level of each trajectory, and the
-    seed and count that reproduce them."""
+    """Monte Carlo work samples and the final level of each trajectory."""
 
     samples: np.ndarray
     final_levels: np.ndarray
-    seed: int
-    n: int
 
     def mean(self) -> float:
         return float(self.samples.mean())
@@ -406,7 +403,7 @@ def monte_carlo_work(
         c = min(_MC_BLOCK, n_traj - a)
         works[a:a + c], finals[a:a + c] = _sample_block(
             seed, b, c, start[0], index, hazard, cap, eps)
-    return WorkSamples(samples=works, final_levels=finals, seed=seed, n=n_traj)
+    return WorkSamples(samples=works, final_levels=finals)
 
 
 def _cumulative_rate_integrals(ramp: Ramp, params: EboxParams):
@@ -471,14 +468,18 @@ def analytic_work_distribution(
             rates = np.ones(t_mat.shape[0])
             action = np.zeros(t_mat.shape[0])
             prev = np.zeros(t_mat.shape[0])
-            for j in range(1, j_jumps + 1):
-                s = seg_sign(sigma0, j)
-                tj = t_mat[:, j - 1]
-                rates *= np.atleast_1d(tunneling_rate(s * ramp(tj), params))
-                action += cumint[s](tj) - cumint[s](prev)
-                prev = tj
-            s_last = seg_sign(sigma0, j_jumps + 1)
-            action += cumint[s_last](tau) - cumint[s_last](prev)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                for j in range(1, j_jumps + 1):
+                    s = seg_sign(sigma0, j)
+                    tj = t_mat[:, j - 1]
+                    rates *= np.atleast_1d(tunneling_rate(s * ramp(tj), params))
+                    action += cumint[s](tj) - cumint[s](prev)
+                    prev = tj
+                s_last = seg_sign(sigma0, j_jumps + 1)
+                action += cumint[s_last](tau) - cumint[s_last](prev)
+                weights = p_init * rates * np.exp(-action) * dtq**j_jumps
+            if not np.isfinite(weights).all():
+                raise NumericError(f"a {j_jumps}-jump series weight is not finite")
             signs = np.array(
                 [(-1.0) ** (sigma0 + j) for j in range(1, j_jumps + 1)]
             )
@@ -487,7 +488,6 @@ def analytic_work_distribution(
                 + ((sigma0 + j_jumps) % 2) * epsf
                 - sigma0 * eps0
             )
-            weights = p_init * rates * np.exp(-action) * dtq**j_jumps
             hist, _ = np.histogram(w_vals, bins=w_grid, weights=weights)
             bin_masses += hist
 
@@ -569,10 +569,8 @@ def mean_work(
 
 @dataclass(frozen=True)
 class CrooksCheck:
-    bin_centers: np.ndarray
     residuals: np.ndarray
     standard_errors: np.ndarray
-    skipped_bins: int
     log_z_ratio: float
 
     @property
@@ -618,7 +616,6 @@ def ebox_crooks_check(
     sums, _ = np.histogram(w_f, bins=edges, weights=w_f)
 
     use = (cf >= min_count) & (cr >= min_count)
-    skipped = int(np.sum((cf > 0) | (cr > 0)) - use.sum())
     if not np.any(use):
         raise InvalidInputError("no bins with enough forward/reverse overlap")
     w_bar = sums[use] / cf[use]
@@ -628,14 +625,7 @@ def ebox_crooks_check(
     se = np.sqrt(
         (1.0 - cf[use] / n_traj) / cf[use] + (1.0 - cr[use] / n_traj) / cr[use]
     )
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return CrooksCheck(
-        bin_centers=centers[use],
-        residuals=resid,
-        standard_errors=se,
-        skipped_bins=skipped,
-        log_z_ratio=log_z_ratio,
-    )
+    return CrooksCheck(residuals=resid, standard_errors=se, log_z_ratio=log_z_ratio)
 
 
 def _sorted_cost_quantile(samples, eps: float):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -156,9 +155,6 @@ class Thermalization:
     @property
     def matrix(self) -> np.ndarray:
         return self.hop
-
-
-ProtocolStep = Union[HamiltonianChange, Thermalization]
 
 
 @dataclass(frozen=True)

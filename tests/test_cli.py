@@ -23,7 +23,6 @@ def write_config(tmp_path, doc, name="cfg.json"):
 def lift_config():
     return {
         "mode": "enumerate",
-        "energy_units": "kT",
         "levels": [0.0, 0.0],
         "rho0": [0.9, 0.1],
         "steps": [
@@ -37,7 +36,6 @@ def lift_config():
 def degenerate_equality_config():
     return {
         "mode": "equality",
-        "energy_units": "kT",
         "levels": [0.0, 0.0],
         "rho0": [0.9, 0.1],
         "in_levels": [0],
@@ -60,19 +58,6 @@ class TestConfigLoading:
         assert main(["--config", str(tmp_path / "nope.json")]) == 2
         assert "invalid-input" in capsys.readouterr().err
 
-    def test_missing_beta_in_absolute_units(self, tmp_path, capsys):
-        doc = degenerate_equality_config()
-        doc["energy_units"] = "absolute"
-        path = write_config(tmp_path, doc)
-        assert main(["--config", path]) == 2
-        assert "beta" in capsys.readouterr().err
-
-    def test_nonunit_beta_with_kt_units_rejected(self, tmp_path, capsys):
-        doc = degenerate_equality_config()
-        doc["beta"] = 2.0
-        path = write_config(tmp_path, doc)
-        assert main(["--config", path]) == 2
-
     def test_format_flag_and_key_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, degenerate_equality_config())
         with pytest.raises(SystemExit) as exc:
@@ -84,15 +69,15 @@ class TestConfigLoading:
 
     def test_converted_values_and_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, degenerate_equality_config()))
-        assert sorted(cfg) == ["beta", "energy_units", "eps", "in_levels", "levels",
+        assert sorted(cfg) == ["beta", "eps", "extracted", "in_levels", "levels",
                                "mode", "rho0", "steps"]
-        assert cfg["mode"] == "equality" and cfg["energy_units"] == "kT"
+        assert cfg["mode"] == "equality" and cfg["extracted"] is False
         assert cfg["beta"] == 1.0 and cfg["eps"] == 0.0 and cfg["in_levels"] == [0]
         assert cfg["levels"].dtype == float and cfg["levels"].tolist() == [0.0, 0.0]
         assert cfg["rho0"].tolist() == [0.9, 0.1]
         assert cfg["steps"] == [{"type": "thermalize/full", "full": True}]
 
-        doc = {"mode": "ebox-mc", "energy_units": "absolute", "beta": 2,
+        doc = {"mode": "ebox-mc", "beta": 2,
                "gamma0": 1, "eps_c": 1.0, "n_traj": 1e5, "n_steps": 400,
                "ramp": {"shape": "points", "times": [0, 1], "values": [0, 2]}}
         cfg = load_config(write_config(tmp_path, doc))
@@ -119,17 +104,17 @@ class TestEnumerate:
         assert rows == [(0.0, 0.9), (1.0, 0.1)]
 
     def test_extracted_negates_work(self, tmp_path, capsys):
-        path = write_config(tmp_path, lift_config())
-        assert main(["--config", path, "--extracted"]) == 0
+        path = write_config(tmp_path, dict(lift_config(), extracted=True))
+        assert main(["--config", path]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         rows = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
         assert {w for w, _ in rows} == {0.0, -1.0}
 
     def test_extracted_zero_work_prints_positive_zero(self, tmp_path, capsys):
-        doc = dict(degenerate_equality_config(), mode="enumerate")
+        doc = dict(degenerate_equality_config(), mode="enumerate", extracted=True)
         del doc["in_levels"]
         path = write_config(tmp_path, doc)
-        assert main(["--config", path, "--extracted"]) == 0
+        assert main(["--config", path]) == 0
         assert capsys.readouterr().out == "w,p\n0,1\n"
 
     def test_out_file(self, tmp_path):
@@ -159,7 +144,6 @@ class TestEnumerate:
         # 4^14 paths, once past the path-count cap: all works are 0
         doc = {
             "mode": "enumerate",
-            "energy_units": "kT",
             "levels": [0.0, 0.0, 0.0, 0.0],
             "rho0": [0.25, 0.25, 0.25, 0.25],
             "steps": [{"type": "thermalize", "full": True}] * 13,
@@ -241,7 +225,6 @@ class TestCrooks:
         z0 = 2.0
         doc = {
             "mode": "crooks",
-            "energy_units": "kT",
             "levels": [0.0, 0.0],
             "rho0": [0.5, 0.5],
             "steps": [
@@ -262,7 +245,6 @@ class TestCrooks:
 class TestEboxModes:
     def ebox_base(self):
         return {
-            "energy_units": "kT",
             "gamma0": 1.0,
             "eps_c": 1.0,
             "ramp": {"shape": "linear", "eps0": 0.0, "epsf": 2.0, "tau": 1.0},
@@ -286,8 +268,8 @@ class TestEboxModes:
         assert main(["--config", path]) == 0
         assert capsys.readouterr().out == first
         assert first.startswith("w_lo,w_hi,density\n")
-        # --seed overrides the config seed
-        assert main(["--config", path, "--seed", "6"]) == 0
+        # another seed, other samples
+        assert main(["--config", write_config(tmp_path, dict(doc, seed=6))]) == 0
         assert capsys.readouterr().out != first
 
     def test_series_atoms_are_zero_width_rows(self, tmp_path, capsys):
@@ -321,7 +303,6 @@ class TestEboxModes:
     def test_sweep_header_and_speeds(self, tmp_path, capsys):
         doc = {
             "mode": "ebox-sweep",
-            "energy_units": "kT",
             "gamma0": 1.0,
             "eps_c": 1.0,
             "durations": [2.0, 4.0],
@@ -436,7 +417,8 @@ REPRODUCED = {
     "in_levels scalar": (variant("equality", in_levels=0), "in_levels"),
     "bin_tolerance string": (variant("enumerate", bin_tolerance="x"), "bin_tolerance"),
     "eps string": (variant("equality", eps="x"), "eps"),
-    "beta string": (variant("equality", energy_units="absolute", beta="x"), "beta"),
+    "beta string": (variant("equality", beta="x"), "beta"),
+    "extracted not a boolean": (variant("enumerate", extracted=1), "extracted"),
     "gamma0 string": (variant("ebox-mc", gamma0="x"), "gamma0"),
     "gamma0 null": (variant("ebox-mc", gamma0=None), "gamma0"),
     "j_max string": (variant("ebox-series", j_max="x"), "j_max"),
@@ -455,6 +437,11 @@ REPRODUCED = {
     "ramp in ebox-sweep": (variant("ebox-sweep", ramp=LINEAR),
                            "unknown config keys: ramp"),
     "seed in crooks": (variant("crooks", seed=1), "unknown config keys: seed"),
+    "energy_units": (variant("equality", energy_units="kT"),
+                     "unknown config keys: energy_units"),
+    **{f"extracted in {mode}": (variant(mode, extracted=True),
+                                "unknown config keys: extracted")
+       for mode in ("crooks", "ebox-charfn", "ebox-sweep")},
     **{f"out in {mode}": (variant(mode, out="x.csv"), "unknown config keys: out")
        for mode in VALID},
     "unknown nested key": (variant("ebox-mc", ramp=dict(LINEAR, slope=1.0)),
@@ -511,19 +498,28 @@ def discrete_configs(n=40):
     return docs
 
 
+# the modes whose config takes "extracted": true, which negates reported work
+EXTRACTED = {mode for mode, keys in cli._SCHEMA.items() if "extracted" in keys}
+
+
+def extracted(doc):
+    """``doc`` reporting extracted work, or ``doc`` itself in a mode that
+    reports no work."""
+    return dict(doc, extracted=True) if doc["mode"] in EXTRACTED else doc
+
+
 class TestDiscreteOutputUnchanged:
-    # sha256 of every run's exit code, stdout and stderr, with and without
-    # --extracted; taken when the exact recursion became one (work x level)
-    # table (1.14.0), whose equality, crooks and enumerate values moved by at
-    # most 8.9e-16
+    # sha256 of every run's exit code, stdout and stderr, of each config and
+    # of its extracted(config); taken when the exact recursion became one
+    # (work x level) table (1.14.0), whose equality, crooks and enumerate
+    # values moved by at most 8.9e-16
     DIGEST = "fcde989ed627f7e7db470e09f17a2346a1903ffcfc93d745985c0173331b1c68"
 
     def test_discrete_output_unchanged(self, tmp_path, capsys):
         digest, codes = hashlib.sha256(), []
         for doc in discrete_configs():
-            path = write_config(tmp_path, doc)
-            for extra in ([], ["--extracted"]):
-                codes.append(main(["--config", path, *extra]))
+            for d in (doc, extracted(doc)):
+                codes.append(main(["--config", write_config(tmp_path, d)]))
                 out, err = capsys.readouterr()
                 digest.update(f"{codes[-1]}\0{out}\0{err}\0".encode())
         assert codes.count(0) >= 70
@@ -549,16 +545,6 @@ class TestRejectedInputs:
         assert main(["--config", path, "--out", str(target)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid-input: cannot write --out")
-
-    def test_seed_flag_checked_like_the_key(self, tmp_path, capsys):
-        path = write_config(tmp_path, VALID["ebox-mc"])
-        for bad in (str(2**64), str(MAX_SEED + 1), "-1"):
-            assert main(["--config", path, "--seed", bad]) == 2
-            assert "--seed must be" in capsys.readouterr().err
-        assert main(["--config", path, "--seed", str(MAX_SEED)]) == 0
-        crooks = write_config(tmp_path, VALID["crooks"], name="crooks.json")
-        assert main(["--config", crooks, "--seed", "3"]) == 2
-        assert "--seed is not read by mode 'crooks'" in capsys.readouterr().err
 
 
 FULL = {"type": "thermalize", "full": True}
@@ -587,6 +573,17 @@ NUMERIC = {
     "crooks with Zf/Z0 beyond the double range": (
         two_level("crooks", [0.0, 0.0], change_to(-800.0, -800.0)),
         "jarzynski_residual = nan is not finite"),
+    # the product of two jump rates overflows, and its weight is inf * 0
+    "ebox-series with an overflowing jump rate": (
+        {"mode": "ebox-series", "gamma0": 1, "eps_c": 1e-200,
+         "ramp": {"shape": "linear", "eps0": 1, "epsf": 0, "tau": 1},
+         "rho0": [0.5, 0.5], "w_grid": [-2, -1, 0, 1, 2], "j_max": 2},
+        "a 2-jump series weight is not finite"),
+    "ebox-series with an overflowing jump rate at 800 kT": (
+        {"mode": "ebox-series", "gamma0": 1000, "eps_c": 1e-300,
+         "ramp": {"shape": "linear", "eps0": 800, "epsf": 0, "tau": 1},
+         "rho0": [0.5, 0.5], "w_grid": [-2, -1, 0, 1, 2], "j_max": 2},
+        "a 2-jump series weight is not finite"),
 }
 
 
@@ -594,8 +591,8 @@ class TestNumericFailures:
     @pytest.mark.parametrize("name", sorted(NUMERIC))
     def test_reproduced_case(self, name, tmp_path, capsys):
         doc, message = NUMERIC[name]
-        for extra in ([], ["--extracted"]):
-            assert main(["--config", write_config(tmp_path, doc), *extra]) == 4
+        for d in (doc, extracted(doc)):
+            assert main(["--config", write_config(tmp_path, d)]) == 4
             out, err = capsys.readouterr()
             assert out == "" and f"error: numeric: {message}\n" in err
 
@@ -623,10 +620,10 @@ class TestShiftedConfigs:
     @pytest.mark.parametrize("name", sorted(SHIFTED))
     def test_reports_as_its_unshifted_config(self, name, tmp_path, capsys):
         doc, unshifted, shift = SHIFTED[name]
-        for extra, sign in (([], 1.0), (["--extracted"], -1.0)):
+        for sign, form in ((1.0, dict), (-1.0, extracted)):
             reports = []
             for d in (doc, unshifted):
-                assert main(["--config", write_config(tmp_path, d), *extra]) == 0
+                assert main(["--config", write_config(tmp_path, form(d))]) == 0
                 reports.append(json.loads(capsys.readouterr().out))
             got, want = reports
             # w0_in moves with the works, the optimum log Zf - log Z~ against them
@@ -711,13 +708,12 @@ class TestSharedParser:
             raise AssertionError("main built a parser")
 
         monkeypatch.setattr(cli.argparse, "ArgumentParser", no_new_parser)
-        lift = write_config(tmp_path, lift_config(), name="lift.json")
-        mc = write_config(tmp_path, VALID["ebox-mc"], name="mc.json")
-        eq = write_config(tmp_path, degenerate_equality_config(), name="eq.json")
-        argvs = [["--config", lift], ["--config", lift, "--extracted"],
-                 ["--config", mc, "--seed", "3"], ["--config", mc],
-                 ["--config", mc, "--extracted", "--seed", "4"],
-                 ["--config", eq, "--seed", "3"], ["--config", eq, "--extracted"]]
+        docs = [lift_config(), extracted(lift_config()), variant("ebox-mc", seed=3),
+                VALID["ebox-mc"], extracted(variant("ebox-mc", seed=4)),
+                dict(degenerate_equality_config(), seed=3),
+                extracted(degenerate_equality_config())]
+        argvs = [["--config", write_config(tmp_path, doc, name=f"{k}.json")]
+                 for k, doc in enumerate(docs)]
         first = {}
         for _ in range(3):
             for argv in argvs:
@@ -733,7 +729,9 @@ class TestSharedParser:
             assert exc.value.code == 0
             assert capsys.readouterr().out.startswith("usage: wcwork")
             path = write_config(tmp_path, lift_config())
-            for argv in (["--config", path, "--threads", "1"], ["--extracted"]):
+            for argv in (["--config", path, "--threads", "1"], ["--extracted"],
+                         ["--config", path, "--extracted"],
+                         ["--config", path, "--seed", "3"]):
                 with pytest.raises(SystemExit) as exc:
                     main(argv)
                 assert exc.value.code == 2
@@ -747,7 +745,7 @@ class TestSharedParser:
 READ = {mode: {"mode", *keys} for mode, keys in cli._SCHEMA.items()}
 REQUIRED = {mode: [k for k, (_, default) in keys.items() if default is cli._REQUIRED]
             for mode, keys in cli._SCHEMA.items()}
-ALL_KEYS = set().union(*READ.values()) | {"out", "format", "threads"}
+ALL_KEYS = set().union(*READ.values()) | {"out", "format", "threads", "energy_units"}
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
@@ -781,7 +779,7 @@ REJECTED = {
     "steps": JSON.filter(lambda v: not isinstance(v, list)
                          or any(not isinstance(x, dict) for x in v)),
     "object": JSON.filter(lambda v: not isinstance(v, dict)),
-    "units": JSON.filter(lambda v: v not in ("kT", "absolute")),
+    "bool": JSON.filter(lambda v: not isinstance(v, bool)),
     "mode": JSON.filter(lambda v: v not in tuple(READ)),
     "gibbs or vector": JSON.filter(lambda v: v != "gibbs" and not is_numbers(v)),
     "real or vector": JSON.filter(lambda v: not is_number(v) and not is_numbers(v))
@@ -789,7 +787,7 @@ REJECTED = {
     "true": JSON.filter(lambda v: v is not True),
 }
 KIND = {
-    "mode": "mode", "energy_units": "units", "beta": "real", "levels": "vector",
+    "mode": "mode", "extracted": "bool", "beta": "real", "levels": "vector",
     "rho0": "vector", "steps": "steps", "bin_tolerance": "real",
     "in_levels": "indices", "eps": "real", "gamma0": "real", "eps_c": "real",
     "ramp": "object", "n_traj": "count", "n_steps": "count", "seed": "count",
@@ -814,9 +812,10 @@ positive = st.floats(0.1, 2)
 
 @st.composite
 def valid_configs(draw, mode):
-    doc = {"mode": mode, **draw(st.sampled_from([
-        {}, {"energy_units": "kT"}, {"energy_units": "kT", "beta": 1.0},
-        {"energy_units": "absolute", "beta": 0.5}, {"beta": 1}]))}
+    doc = {"mode": mode, **draw(st.sampled_from([{}, {"beta": 1.0}, {"beta": 0.5},
+                                                 {"beta": 1}]))}
+    if mode in EXTRACTED and draw(st.booleans()):
+        doc["extracted"] = draw(st.booleans())
     if mode in ("enumerate", "equality", "crooks"):
         d = draw(st.integers(2, 3))
         energies = st.lists(reals, min_size=d, max_size=d)
@@ -879,10 +878,7 @@ def mutations(draw, mode, doc):
     nested = "steps" if "steps" in doc else "ramp" if "ramp" in doc else None
     how = draw(st.sampled_from(["drop", "add", "retype"] + [nested] * bool(nested)))
     if how == "drop":
-        droppable = ["mode", *REQUIRED[mode]]
-        if doc.get("energy_units") == "absolute":
-            droppable.append("beta")
-        del doc[draw(st.sampled_from(droppable))]
+        del doc[draw(st.sampled_from(["mode", *REQUIRED[mode]]))]
     elif how == "add":
         key = draw(st.sampled_from(sorted(ALL_KEYS - READ[mode])) | st.text(max_size=8))
         doc[key] = draw(JSON)
@@ -926,8 +922,17 @@ class TestConfigContract:
         for pair, default in schema.items():
             if default is cli._REQUIRED:
                 assert documented[pair] == "required", pair
-            elif pair[1] != "beta":  # resolved from energy_units
+            else:
                 assert json.loads(documented[pair]) == default, pair
+
+    def test_readme_configs_run(self, tmp_path, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```json\n(.*?)^```$", readme, re.M | re.S)
+        assert len(blocks) >= 2
+        for block in blocks:
+            path = tmp_path / "readme.json"
+            path.write_text(block)
+            assert main(["--config", str(path)]) == 0, capsys.readouterr().err
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

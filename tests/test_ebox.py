@@ -479,7 +479,7 @@ class TestMonteCarlo:
             with pytest.raises(InvalidInputError, match="seed"):
                 monte_carlo_work(ramp, rho0, 10, 10, seed, PARAMS)
         for seed in (2**64 - 1, np.uint64(2**64 - 1), np.int8(3)):
-            assert monte_carlo_work(ramp, rho0, 3, 10, seed, PARAMS).n == 3
+            assert monte_carlo_work(ramp, rho0, 3, 10, seed, PARAMS).samples.size == 3
         assert szilard_sweep([1.0, 2.0], 0.5, 1.0, 10, 200, 2**64 - 2, PARAMS)
 
         # derived keys, seed + 1 for the reverse run and seed + i for
@@ -594,7 +594,7 @@ class TestCharacteristicFunction:
         rho0 = np.array([0.5, 0.5])
         m, bound = mean_work(ramp, rho0, 400, PARAMS, lambda_probe=1.0)
         dist = monte_carlo_work(ramp, rho0, 40000, 400, 5, PARAMS)
-        se = dist.samples.std() / math.sqrt(dist.n)
+        se = dist.samples.std() / math.sqrt(dist.samples.size)
         assert abs(dist.mean() - m) < 4 * se
         assert bound >= m - 1e-9  # convexity bound
 
@@ -691,8 +691,8 @@ class TestCrooksCheck:
         assert check.max_sigma_ratio == 0.0
 
         def ratio(residuals, errors):
-            return CrooksCheck(np.zeros(len(errors)), np.array(residuals),
-                               np.array(errors), 0, 0.0).max_sigma_ratio
+            return CrooksCheck(np.array(residuals), np.array(errors),
+                               0.0).max_sigma_ratio
 
         assert ratio([0.0, -0.5], [0.0, 0.1]) == pytest.approx(5.0)
         assert ratio([0.0, 0.1], [0.0, 0.0]) == math.inf
