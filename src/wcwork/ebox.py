@@ -122,7 +122,8 @@ def tunneling_rate(eps, params: EboxParams):
     small = np.abs(x) < 1e-8
     with np.errstate(over="ignore"):  # expm1 -> inf gives the exact limit 0
         denom = np.where(small, 1.0, np.expm1(np.where(small, 1.0, x)))
-    ratio = np.where(small, 1.0 - x / 2.0 + x * x / 12.0, x / denom)
+    xs = np.where(small, x, 0.0)  # the series on small x only: x * x may overflow
+    ratio = np.where(small, 1.0 - xs / 2.0 + xs * xs / 12.0, x / denom)
     out = (params.gamma0 / (params.beta * params.eps_c)) * ratio
     return out if out.ndim else float(out)
 
@@ -135,8 +136,9 @@ def swap_probability(eps, dt: float, params: EboxParams):
     eps = np.asarray(eps, dtype=float)
     x = params.beta * eps / 2.0
     small = np.abs(x) < 1e-8
+    xs = np.where(small, x, 0.0)  # the series on small x only: x * x may overflow
     coth_scaled = np.where(  # eps*coth(beta eps/2) = (2/beta) * x*coth(x)
-        small, 1.0 + x * x / 3.0, x / np.tanh(np.where(small, 1.0, x))
+        small, 1.0 + xs * xs / 3.0, x / np.tanh(np.where(small, 1.0, x))
     )
     p = (2.0 * params.gamma0 * dt / (params.beta * params.eps_c)) * coth_scaled
     pmax = float(np.max(p)) if p.ndim else float(p)
@@ -272,11 +274,6 @@ class SeriesWorkDistribution:
     bin_edges: np.ndarray
     bin_masses: np.ndarray
     remainder: float
-
-    def mean(self) -> float:
-        centers = 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-        return float(np.dot(self.atoms[:, 0], self.atoms[:, 1])
-                     + np.dot(centers, self.bin_masses))
 
     def total_mass(self) -> float:
         return float(self.atoms[:, 1].sum() + self.bin_masses.sum())

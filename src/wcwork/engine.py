@@ -58,19 +58,15 @@ class WorkDistribution:
         return self.atoms[:, 1]
 
 
-def _merge(key, work, prob, tol):
-    """Sort entries by (key, work), or by work where ``key`` is None, and merge
-    each run of one key whose adjacent works lie within ``tol``: masses add,
-    and the merged work is the probability-weighted mean, taken as an offset
-    from the run's first work so that an unmerged entry, or a run of zero
-    mass, keeps its first work exactly.  Also returns each entry's run."""
-    order = np.argsort(work, kind="stable") if key is None else np.lexsort((work, key))
+def _merge(work, prob, tol):
+    """Sort entries by work and merge each run whose adjacent works lie within
+    ``tol``: masses add, and the merged work is the probability-weighted mean,
+    taken as an offset from the run's first work so that an unmerged entry, or
+    a run of zero mass, keeps its first work exactly.  Also returns each
+    entry's run."""
+    order = np.argsort(work, kind="stable")
     work, prob = work[order], prob[order]
     head = np.concatenate([[True], work[1:] - work[:-1] > tol])  # run starts
-    if key is not None:
-        key = key[order]
-        head[1:] |= key[1:] != key[:-1]
-        key = key[head]
     first = head.nonzero()[0]
     base = work[first]
     mass = np.add.reduceat(prob, first)
@@ -79,22 +75,21 @@ def _merge(key, work, prob, tol):
     np.divide(shift, mass, out=shift, where=mass > 0)
     entry_run = np.empty_like(run)
     entry_run[order] = run
-    return key, base + shift, mass, entry_run
+    return base + shift, mass, entry_run
 
 
 def _paired_runs(fwd: WorkDistribution, rev: WorkDistribution):
-    """The one pairing of forward works w with reverse works -w: ``_merge`` cuts
-    them, sorted together, into runs of adjacent works within
-    DEFAULT_BIN_TOLERANCE.  Each run's work, forward mass and reverse mass are
-    ``_merge``'s of its forward atoms (of its reverse atoms where it has none)."""
-    works, n = np.concatenate([fwd.works, -rev.works]), fwd.works.size
-    _, _, _, run = _merge(None, works, np.ones(works.size), DEFAULT_BIN_TOLERANCE)
-    rev_run, rev_work, rev_mass, _ = _merge(run[n:], works[n:], rev.probs, math.inf)
-    fwd_run, fwd_work, fwd_mass, _ = _merge(run[:n], works[:n], fwd.probs, math.inf)
-    w, p, q = np.zeros((3, run.max() + 1))
-    w[rev_run], q[rev_run] = rev_work, rev_mass
-    w[fwd_run], p[fwd_run] = fwd_work, fwd_mass
-    return w, p, q
+    """The one pairing of forward works w with reverse works -w: one ``_merge``
+    of both, reverse entries at zero mass, cuts runs of adjacent works within
+    DEFAULT_BIN_TOLERANCE and gives each run's work w and forward mass p, and a
+    bincount its reverse mass q.  A run with p = 0 keeps its first work, which
+    nothing reads: the Crooks residual and D_inf read only runs with p > 0, and
+    an eps-cut past the first run lands on one, as p = 0 leaves p(W > w) as is."""
+    n = fwd.works.size
+    w, p, run = _merge(np.concatenate([fwd.works, -rev.works]),
+                       np.concatenate([fwd.probs, np.zeros(rev.works.size)]),
+                       DEFAULT_BIN_TOLERANCE)
+    return w, p, np.bincount(run[n:], rev.probs, w.size)
 
 
 def _forward(protocol: Protocol, rho0: np.ndarray):
@@ -116,7 +111,7 @@ def _forward(protocol: Protocol, rho0: np.ndarray):
         cand_work = (work + (step.target.energies - energies[:, None])[:, :, None]).ravel()
         energies = step.target.energies
         live = np.flatnonzero(cand > 0)
-        _, work, _, run = _merge(None, cand_work[live], cand[live], _MERGE_TOLERANCE)
+        work, _, run = _merge(cand_work[live], cand[live], _MERGE_TOLERANCE)
         prob = np.bincount(run * d + live // n % d, weights=cand[live],
                            minlength=work.size * d).reshape(work.size, d)
     mass = prob.sum(axis=1)
@@ -131,39 +126,28 @@ def bin_works(
     works, probs = np.asarray(works, dtype=float), np.asarray(probs, dtype=float)
     if works.size == 0:
         raise InvalidInputError("no trajectories to bin")
-    _, w, p, _ = _merge(None, works, probs, bin_tolerance)
+    w, p, _ = _merge(works, probs, bin_tolerance)
     return WorkDistribution(atoms=np.column_stack([w, p]))
 
 
 def _masked(rho0: DiagonalState, levels) -> np.ndarray:
-    """The occupations of ``levels``, zero elsewhere; indices out of range are ignored."""
+    """The occupations of ``levels``, zero elsewhere."""
     keep = np.zeros(rho0.d, dtype=bool)
-    keep[[i for i in levels if 0 <= i < rho0.d]] = True
+    keep[levels] = True
     return np.where(keep, rho0.probs, 0.0)
 
 
-def work_distribution(
-    protocol: Protocol,
-    rho0: DiagonalState,
-    bin_tolerance: float = DEFAULT_BIN_TOLERANCE,
-    restrict_start=None,
-) -> WorkDistribution:
-    """Exact work distribution.
+def work_distribution(protocol: Protocol, rho0: DiagonalState,
+                      bin_tolerance: float = DEFAULT_BIN_TOLERANCE) -> WorkDistribution:
+    """Exact work distribution from the occupations ``rho0``.
 
-    With ``restrict_start`` (an iterable of level indices) the distribution is
-    conditioned on trajectories starting in those levels: the recursion runs
-    from their occupations alone and is renormalized.  Works closer than the
-    merge tolerance (1e-10) are merged whatever ``bin_tolerance``.
+    Works closer than the merge tolerance (1e-10) are merged whatever
+    ``bin_tolerance``.  For the distribution conditioned on trajectories
+    starting in some levels, pass the state of their renormalized occupations.
     """
     if rho0.d != protocol.d:
         raise InvalidInputError("state dimension does not match protocol")
-    probs = rho0.probs if restrict_start is None else _masked(rho0, restrict_start)
-    if not probs.any():
-        raise InvalidInputError("no trajectories start in the restricted set")
-    work, prob = _forward(protocol, probs)
-    if restrict_start is not None:
-        prob = prob / prob.sum()
-    return bin_works(work, prob, bin_tolerance)
+    return bin_works(*_forward(protocol, rho0.probs), bin_tolerance)
 
 
 def _max_work(protocol: Protocol, rho0: np.ndarray) -> float:

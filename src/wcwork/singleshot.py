@@ -21,6 +21,7 @@ from .engine import (
     _masked,
     _max_work,
     _paired_runs,
+    bin_works,
     epsilon_guaranteed_work,
     variation_distance,
     work_distribution,
@@ -233,8 +234,11 @@ def main_equality_report(
     scen, rev, optimum, tail_bound = _equality_terms(rho0, protocol, partition)
     _, p, q = _paired_runs(scen.forward, rev)
     d_inf = d_infinity(p, q)
-    w0_in = worst_case_work(work_distribution(
-        protocol, rho0, restrict_start=partition.in_indices()))
+    rho_in = _masked(rho0, partition.in_indices())
+    if not rho_in.any():
+        raise InvalidInputError("no trajectories start in the restricted set")
+    work, prob = _forward(protocol, rho_in)
+    w0_in = worst_case_work(bin_works(work, prob / prob.sum()))
     return EqualityReport(
         w0_in=w0_in, d_infinity_term=d_inf, optimum_term=optimum,
         residual=abs(protocol.beta * w0_in - d_inf + optimum), eps=0.0,

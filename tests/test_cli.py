@@ -194,6 +194,14 @@ class TestEquality:
         path = write_config(tmp_path, doc)
         assert main(["--config", path]) == 2
 
+    def test_retained_levels_without_occupation_exit_2(self, tmp_path, capsys):
+        doc = dict(degenerate_equality_config(), rho0=[0.0, 0.9999999999999],
+                   steps=lift_config()["steps"][:1])
+        assert main(["--config", write_config(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: invalid-input: no trajectories start in the restricted set\n"
+
     def test_tail_mode_reports_eps(self, tmp_path, capsys):
         doc = degenerate_equality_config()
         doc["eps"] = 0.05
@@ -356,6 +364,13 @@ class TestEboxModes:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "speed,eps,w_eps,stderr"
         assert [float(ln.split(",")[0]) for ln in lines[1:]] == [0.5, 0.25]
+
+    @pytest.mark.parametrize("mode", ["ebox-mc", "ebox-series"])
+    def test_huge_beta_runs_without_warnings(self, mode, tmp_path, capsys):
+        # beta * eps up to 2e300: the rates' small-x series would overflow
+        doc = dict(VALID[mode], beta=1e300)
+        assert main(["--config", write_config(tmp_path, doc)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_bad_ramp_shape(self, tmp_path, capsys):
         doc = self.ebox_base()

@@ -91,6 +91,18 @@ class TestRates:
             rates = tunneling_rate(np.array([-800.0, 0.0, 800.0]), PARAMS)
             assert rates[2] == 0.0 and np.all(np.isfinite(rates))
 
+    def test_huge_beta_eps_skips_the_small_x_series(self):
+        # |beta eps| = 1e300: x * x of the small-x series would overflow
+        p = EboxParams(gamma0=1.0, eps_c=1.0, beta=1e300)
+        eps = np.array([-1.0, 0.0, 1e-309, 1.0])
+        rates = tunneling_rate(eps, p)
+        assert rates[0] == 1.0 and rates[3] == 0.0
+        x = np.array([0.0, 1e-9])  # beta * eps in the series branch
+        assert rates[1:3].tolist() == (1e-300 * (1.0 - x / 2.0 + x * x / 12.0)).tolist()
+        psw = swap_probability(eps, 0.01, p)
+        assert psw[0] == psw[3] == pytest.approx(0.01, rel=1e-15)
+        assert psw[1:3].tolist() == (2e-302 * (1.0 + (x / 2.0) ** 2 / 3.0)).tolist()
+
     def test_gibbs_ground_occupation_keeps_its_digits(self):
         # p0 = 1/(1 + e^{-beta eps}) directly, not 1 - p1, which cancels to 0
         assert gibbs_occupations(-40.0, 1.0)[0] == pytest.approx(

@@ -40,6 +40,7 @@ from tests_support import (
     max_work_oracle,
     merge_oracle,
     oracle_atoms,
+    paired_runs_oracle,
     partial_swap_chain_protocol,
     random_protocol,
     trajectory_work,
@@ -75,9 +76,16 @@ def never_recurring_protocol(d, n_changes):
                     steps=tuple(steps))
 
 
-def assert_matches_oracle(prot, rho0, restrict_start=None):
-    got = work_distribution(prot, rho0, restrict_start=restrict_start).atoms
-    want = np.array(oracle_atoms(prot, rho0, restrict_start=restrict_start))
+def assert_matches_oracle(prot, rho0, in_set=None):
+    """The engine against the path walk; with ``in_set``, as the main equality
+    report conditions on the retained starts: the recursion from their
+    occupations, renormalized and binned."""
+    if in_set is None:
+        got = work_distribution(prot, rho0).atoms
+    else:
+        work, prob = engine._forward(prot, engine._masked(rho0, in_set))
+        got = bin_works(work, prob / prob.sum()).atoms
+    want = np.array(oracle_atoms(prot, rho0, in_set=in_set))
     assert got.shape == want.shape
     assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-9
     assert np.max(np.abs(got[:, 1] - want[:, 1])) <= 1e-12
@@ -137,7 +145,7 @@ class TestRecursionMatchesOracle:
             rho0 = DiagonalState(rng.dirichlet(np.ones(d)))
         assert_matches_oracle(prot, rho0)
         in_set = rng.permutation(d)[: int(rng.integers(1, d + 1))]
-        assert_matches_oracle(prot, rho0, restrict_start=in_set)
+        assert_matches_oracle(prot, rho0, in_set=in_set)
 
     @pytest.mark.parametrize("seed,max_steps", [(2024, 7), (31, 5), (41, 5)])
     def test_acceptance_shapes(self, seed, max_steps):
@@ -229,9 +237,9 @@ MERGE_TOLERANCES = (2.0**-33, 2.0**-30, 0.25)
 
 @st.composite
 def merge_inputs(draw):
-    """Entries for ``engine._merge``: few keys, works on a grid of the
-    tolerance with one-ulp nudges (gaps exactly at and just past it) or
-    anywhere, repeated works, and probabilities that may be zero."""
+    """Entries for ``engine._merge``: works on a grid of the tolerance with
+    one-ulp nudges (gaps exactly at and just past it) or anywhere, repeated
+    works, and probabilities that may be zero."""
     tol = draw(st.sampled_from(MERGE_TOLERANCES))
     n = draw(st.integers(1, 40))
     on_grid = st.builds(lambda m, nudge: float(np.nextafter(m * tol, nudge * np.inf))
@@ -240,13 +248,13 @@ def merge_inputs(draw):
     works = draw(st.lists(on_grid | st.floats(-3, 3), min_size=1, max_size=8))
     work = draw(st.lists(st.sampled_from(works), min_size=n, max_size=n))
     prob = draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=n, max_size=n))
-    key = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    return np.array(key), np.array(work), np.array(prob), tol
+    return np.array(work), np.array(prob), tol
 
 
 class TestMergeMatchesOracle:
     @staticmethod
     def assert_bitwise_equal(got, want):
+        assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (a, b)
 
@@ -257,8 +265,44 @@ class TestMergeMatchesOracle:
 
     def test_single_entry_and_signed_zero(self):
         for work in (0.25, -0.0):
-            entries = (np.array([2]), np.array([work]), np.array([0.5]), 1e-10)
+            entries = (np.array([work]), np.array([0.5]), 1e-10)
             self.assert_bitwise_equal(engine._merge(*entries), merge_oracle(*entries))
+
+
+# gaps along a chain of works: ties, just inside and just outside the 1e-9
+# bin tolerance (by more than an ulp at |w| <= 4), and well apart
+PAIR_GAPS = (0.0, 1e-9 - 2e-15, 1e-9, 1e-9 + 2e-15, 0.25)
+
+
+@st.composite
+def paired_inputs(draw):
+    """Forward and reverse distributions for ``engine._paired_runs``: both
+    draw their works from chains of points whose gaps lie at the bin
+    tolerance, the reverse side negated, so forward and negated reverse works
+    tie exactly; each point may serve the forward side, the reverse side or
+    both, and up to 30 atoms a side make runs of more than 8 entries."""
+    start = draw(st.integers(-8, 8)) / 4.0
+    gaps = draw(st.lists(st.sampled_from(PAIR_GAPS), max_size=11))
+    points = np.cumsum([start] + gaps).tolist()
+    sides = [3] + draw(st.lists(st.integers(1, 3), min_size=len(gaps),
+                                max_size=len(gaps)))  # 1 forward, 2 reverse, 3 both
+
+    def side(bit, sign):
+        pool = [sign * x for x, s in zip(points, sides) if s & bit]
+        works = sorted(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30)))
+        probs = draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
+                              min_size=len(works), max_size=len(works)))
+        return WorkDistribution(np.column_stack([works, probs]))
+
+    return side(1, 1.0), side(2, -1.0)
+
+
+class TestPairingMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=paired_inputs())
+    def test_drawn_pairs(self, pair):
+        TestMergeMatchesOracle.assert_bitwise_equal(engine._paired_runs(*pair),
+                                                    paired_runs_oracle(*pair))
 
 
 class TestBinning:
@@ -290,19 +334,11 @@ class TestWorkDistribution:
         assert dist.atoms.tolist() == [[0.0, pytest.approx(0.9)],
                                        [1.0, pytest.approx(0.1)]]
 
-    def test_restrict_start_renormalizes(self):
+    def test_conditioned_start_is_the_renormalized_state(self):
+        # conditioning on level 1 of [0.5, 0.5] is the state [0, 1]
         prot = lift_protocol(delta=3.0)
-        rho0 = DiagonalState(np.array([0.5, 0.5]))
-        dist = work_distribution(prot, rho0, restrict_start=np.array([1]))
+        dist = work_distribution(prot, DiagonalState(np.array([0.0, 1.0])))
         assert dist.atoms.tolist() == [[3.0, pytest.approx(1.0)]]
-
-    def test_restrict_start_ignores_levels_out_of_range(self):
-        prot = lift_protocol(delta=3.0)
-        rho0 = DiagonalState(np.array([0.5, 0.5]))
-        want = work_distribution(prot, rho0, restrict_start=[0]).atoms
-        for levels in ([0, -1], (0, 7)):
-            got = work_distribution(prot, rho0, restrict_start=levels).atoms
-            assert np.array_equal(got, want)
 
     def test_unsorted_atoms_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -264,6 +264,18 @@ class TestMainEquality:
         assert rep.optimum_term == pytest.approx(expected, abs=1e-12)
         assert rep.residual <= 1e-12
 
+    def test_retained_levels_without_occupation_rejected(self):
+        # p_out = 1 - 1e-13 passes the tilde scenario's guard, but no
+        # trajectory starts in the retained level 0
+        land = EnergyLandscape(np.zeros(2))
+        prot = Protocol(initial=land, beta=1.0, steps=(HamiltonianChange(
+            target=EnergyLandscape(np.array([0.0, 1.0])), jump=np.eye(2)),))
+        rho0 = DiagonalState(np.array([0.0, 1.0 - 1e-13]))
+        part = LevelPartition(in_set=frozenset({0}), d=2)
+        with pytest.raises(InvalidInputError,
+                           match="^no trajectories start in the restricted set$"):
+            main_equality_report(rho0, prot, part)
+
     def test_random_protocols(self):
         from tests_support import random_protocol
 

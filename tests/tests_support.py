@@ -1,6 +1,6 @@
 """Shared helpers for the test suite, a hypothesis strategy of drawn
 protocols, the path-walk oracles of the work distribution and of the
-largest work, the entry-by-entry merge oracle, the first
+largest work, the entry-by-entry merge and pairing oracles, the first
 form of the column-stochastic check, the subset-by-subset smoothed-D0
 oracle, the stage-by-stage RK4 reference for the electron box, and the
 electron box's partial-swap chain as a discrete protocol.
@@ -155,13 +155,14 @@ def trajectory_work(protocol, nodes):
     return float(w)
 
 
-def oracle_atoms(protocol, rho0, bin_tolerance=1e-9, restrict_start=None):
+def oracle_atoms(protocol, rho0, bin_tolerance=1e-9, in_set=None):
     """Work distribution by the path walk, as a list of (work, probability)
     atoms: sorted path works are cut where adjacent values differ by more
-    than ``bin_tolerance``, each atom at its probability-weighted mean."""
+    than ``bin_tolerance``, each atom at its probability-weighted mean.
+    With ``in_set``, of the paths starting in those levels, renormalized."""
     nodes, works, probs = enumerate_paths(protocol, rho0)
-    if restrict_start is not None:
-        sel = np.isin(nodes[:, 0], list(restrict_start))
+    if in_set is not None:
+        sel = np.isin(nodes[:, 0], list(in_set))
         works, probs = works[sel], probs[sel] / probs[sel].sum()
     order = np.argsort(works, kind="stable")
     w, p = works[order], probs[order]
@@ -209,29 +210,56 @@ def reduceat_sum(terms):
     return first + total
 
 
-def merge_oracle(key, work, prob, tol):
-    """The engine's merge one entry at a time: a stable sort by (key, work),
-    runs of one key whose adjacent works lie within ``tol``, and per run its
-    key, its first work plus the probability-weighted mean of the offsets
-    from that work (their weighted sum itself where the run has no mass), and
-    its mass."""
-    entries = sorted(zip(key.tolist(), work.tolist(), prob.tolist()),
-                     key=lambda e: e[:2])
+def oracle_runs(entries, tol):
+    """Entries, tuples led by their work, stably sorted by work and cut where
+    adjacent works lie more than ``tol`` apart, each run a list of
+    (entry index, entry)."""
     runs = []
-    for k, w, p in entries:
-        if runs and runs[-1][-1][0] == k and w - runs[-1][-1][1] <= tol:
-            runs[-1].append((k, w, p))
+    for i, e in sorted(enumerate(entries), key=lambda ie: ie[1][0]):
+        if runs and e[0] - runs[-1][-1][1][0] <= tol:
+            runs[-1].append((i, e))
         else:
-            runs.append([(k, w, p)])
-    keys, works, masses = [], [], []
-    for run in runs:
-        k, base, _ = run[0]
-        mass = reduceat_sum([p for _, _, p in run])
-        shift = reduceat_sum([(w - base) * p for _, w, p in run])
-        keys.append(k)
-        works.append(base + (shift / mass if mass > 0 else shift))
-        masses.append(mass)
-    return np.array(keys, dtype=int), np.array(works), np.array(masses)
+            runs.append([(i, e)])
+    return runs
+
+
+def oracle_mean(run):
+    """A run's first work plus the probability-weighted mean of the offsets
+    from that work (their weighted sum itself where the run has no mass),
+    and its mass, summed as ``np.add.reduceat`` sums them."""
+    base = run[0][1][0]
+    mass = reduceat_sum([e[1] for _, e in run])
+    shift = reduceat_sum([(e[0] - base) * e[1] for _, e in run])
+    return base + (shift / mass if mass > 0 else shift), mass
+
+
+def merge_oracle(work, prob, tol):
+    """The engine's merge one entry at a time: a stable sort by work, runs
+    whose adjacent works lie within ``tol``, and per run its merged work and
+    mass, and each entry's run."""
+    runs = oracle_runs(list(zip(work.tolist(), prob.tolist())), tol)
+    works, masses = zip(*map(oracle_mean, runs))
+    entry_run = np.empty(work.size, dtype=np.int64)
+    for k, run in enumerate(runs):
+        entry_run[[i for i, _ in run]] = k
+    return np.array(works), np.array(masses), entry_run
+
+
+def paired_runs_oracle(fwd, rev, tol=1e-9):
+    """The pairing of forward works w with reverse works -w one entry at a
+    time: forward atoms, then negated reverse atoms at zero mass, cut into
+    runs as the merge cuts them; per run its merged work, its forward mass,
+    and its reverse mass summed in the reverse atoms' order."""
+    n = len(fwd.atoms)
+    entries = fwd.atoms.tolist() + [(-w, 0.0) for w in rev.works.tolist()]
+    rev_probs = rev.probs.tolist()
+    works, p, q = [], [], []
+    for run in oracle_runs(entries, tol):
+        w, mass = oracle_mean(run)
+        works.append(w)
+        p.append(mass)
+        q.append(sum((rev_probs[i - n] for i, _ in sorted(run) if i >= n), 0.0))
+    return np.array(works), np.array(p), np.array(q)
 
 
 def column_stochastic_oracle(m):
