@@ -182,22 +182,28 @@ def _rk4_steps(ramp: Ramp, grid: np.ndarray, params: EboxParams) -> list:
 def _tilted_rk4(steps: list, start: list, xi: float) -> list:
     """RK4 for phi' = M(t) phi + xi * deps/dt * diag(0, 1) phi from
     phi(0) = start, with the accumulator w' = deps/dt * phi_1, over the
-    ``_rk4_steps`` schedule.  Returns (phi_0, phi_1, w) at every node."""
+    ``_rk4_steps`` schedule.  Returns (phi_0, phi_1, w) at every node.
 
-    def f(p0, p1, gp, gm):  # at the current step's slope s and xs = xi * s
-        dot0 = gm * p1 - gp * p0
-        return dot0, xs * p1 - dot0, s * p1
-
+    A stage at (q0, q1) has slopes dot0 = gm * q1 - gp * q0,
+    xi * s * q1 - dot0 and s * q1, with s the step's ramp slope."""
     p0, p1, w = start[0], start[1], 0.0
     nodes = [(p0, p1, w)]
     for h, s, gp0, gph, gp1, gm0, gmh, gm1 in steps:
-        xs = xi * s
-        k1 = f(p0, p1, gp0, gm0)
-        k2 = f(p0 + h / 2 * k1[0], p1 + h / 2 * k1[1], gph, gmh)
-        k3 = f(p0 + h / 2 * k2[0], p1 + h / 2 * k2[1], gph, gmh)
-        k4 = f(p0 + h * k3[0], p1 + h * k3[1], gp1, gm1)
-        p0, p1, w = (y + h / 6 * (a + 2 * b + 2 * c + d)
-                     for y, a, b, c, d in zip((p0, p1, w), k1, k2, k3, k4))
+        xs, h2 = xi * s, h / 2.0
+        a0 = gm0 * p1 - gp0 * p0
+        a1, aw = xs * p1 - a0, s * p1
+        q0, q1 = p0 + h2 * a0, p1 + h2 * a1
+        b0 = gmh * q1 - gph * q0
+        b1, bw = xs * q1 - b0, s * q1
+        q0, q1 = p0 + h2 * b0, p1 + h2 * b1
+        c0 = gmh * q1 - gph * q0
+        c1, cw = xs * q1 - c0, s * q1
+        q0, q1 = p0 + h * c0, p1 + h * c1
+        d0 = gm1 * q1 - gp1 * q0
+        h6 = h / 6.0
+        p0 += h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+        w += h6 * (aw + 2.0 * bw + 2.0 * cw + s * q1)
+        p1 += h6 * (a1 + 2.0 * b1 + 2.0 * c1 + (xs * q1 - d0))
         nodes.append((p0, p1, w))
     return nodes
 
@@ -446,6 +452,21 @@ def analytic_work_distribution(
     def seg_sign(sigma0, j):  # sign of the rate in segment/jump j (1-based)
         return +1 if (sigma0 + j + 1) % 2 == 0 else -1
 
+    # per J: each ordered J-subset of the n midpoints as a path of time
+    # indices 0, its midpoints (1..n), n + 1, over the times 0, mid, tau, and
+    # the splitting, the rates Gamma(+-eps) and the integrals of both at them
+    tables = []
+    for j_jumps in range(1, j_max + 1):
+        n = _JUMP_GRID_DEFAULTS.get(j_jumps, _JUMP_GRID_FALLBACK)
+        combos = itertools.combinations(range(1, n + 1), j_jumps)
+        combos = np.fromiter(itertools.chain.from_iterable(combos), dtype=int)
+        path = np.pad(combos.reshape(-1, j_jumps), ((0, 0), (1, 1)),
+                      constant_values=((0, 0), (0, n + 1)))
+        t = np.concatenate([[0.0], (np.arange(n) + 0.5) * tau / n, [tau]])
+        e = ramp(t)
+        rate = {s: tunneling_rate(s * e, params) for s in (+1, -1)}
+        tables.append((path, e, rate, {s: cumint[s](t) for s in (+1, -1)}, tau / n))
+
     atom_w, atom_p = [], []
     bin_masses = np.zeros(w_grid.size - 1)
     for sigma0 in (0, 1):
@@ -455,25 +476,15 @@ def analytic_work_distribution(
         s0 = cumint[seg_sign(sigma0, 1)](tau)
         atom_w.append(epsf - eps0 if sigma0 else 0.0)
         atom_p.append(p_init * math.exp(-s0))
-        for j_jumps in range(1, j_max + 1):
-            n = _JUMP_GRID_DEFAULTS.get(j_jumps, _JUMP_GRID_FALLBACK)
-            mid = (np.arange(n) + 0.5) * tau / n
-            dtq = tau / n
-            combos = itertools.combinations(range(n), j_jumps)
-            combos = np.fromiter(itertools.chain.from_iterable(combos), dtype=int)
-            t_mat = mid[combos.reshape(-1, j_jumps)]
-            rates = np.ones(t_mat.shape[0])
-            action = np.zeros(t_mat.shape[0])
-            prev = np.zeros(t_mat.shape[0])
+        for j_jumps, (path, e, rate, cum, dtq) in enumerate(tables, start=1):
+            rates = np.ones(path.shape[0])
+            action = np.zeros(path.shape[0])
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                for j in range(1, j_jumps + 1):
+                for j in range(1, j_jumps + 2):
                     s = seg_sign(sigma0, j)
-                    tj = t_mat[:, j - 1]
-                    rates *= np.atleast_1d(tunneling_rate(s * ramp(tj), params))
-                    action += cumint[s](tj) - cumint[s](prev)
-                    prev = tj
-                s_last = seg_sign(sigma0, j_jumps + 1)
-                action += cumint[s_last](tau) - cumint[s_last](prev)
+                    if j <= j_jumps:
+                        rates *= rate[s][path[:, j]]
+                    action += cum[s][path[:, j]] - cum[s][path[:, j - 1]]
                 weights = p_init * rates * np.exp(-action) * dtq**j_jumps
             if not np.isfinite(weights).all():
                 raise NumericError(f"a {j_jumps}-jump series weight is not finite")
@@ -481,7 +492,7 @@ def analytic_work_distribution(
                 [(-1.0) ** (sigma0 + j) for j in range(1, j_jumps + 1)]
             )
             w_vals = (
-                ramp(t_mat) @ signs
+                e[path[:, 1:-1]] @ signs
                 + ((sigma0 + j_jumps) % 2) * epsf
                 - sigma0 * eps0
             )
@@ -522,6 +533,12 @@ def _tilted_end(xi, ramp: Ramp, rho0, n_steps: int, params: EboxParams):
         raise NumericError(
             f"characteristic function diverged at xi={float(xis[bad][0])} "
             f"with {grid.size - 1} steps"
+        )
+    neg = (phi0 < 0) | (phi1 < 0)
+    if neg.any():
+        raise StepSizeError(
+            f"phi at tau is negative at xi={float(xis[neg][0])} with "
+            f"{grid.size - 1} steps; reduce the step size"
         )
     return z, w
 

@@ -171,7 +171,8 @@ def worst_case_work(dist: WorkDistribution) -> float:
 
 
 def epsilon_guaranteed_work(dist: WorkDistribution, eps: float):
-    """Smallest x with p(w > x) <= eps, plus the distribution cut at x.
+    """Smallest work x of positive mass with p(w > x) <= eps, plus the
+    distribution cut at x.
 
     The cut removes atoms above x and renormalizes by the retained mass.
     """
@@ -179,7 +180,7 @@ def epsilon_guaranteed_work(dist: WorkDistribution, eps: float):
         raise InvalidInputError(f"eps must be in [0, 1), got {eps}")
     w, p = dist.works, dist.probs
     tail = np.concatenate([np.cumsum(p[::-1])[::-1][1:], [0.0]])  # p(W > w_k)
-    k = int(np.flatnonzero(tail <= eps + 1e-15)[0])
+    k = int(np.flatnonzero((tail <= eps + 1e-15) & (p > 0))[0])
     cut = np.column_stack([w[: k + 1], p[: k + 1] / p[: k + 1].sum()])
     return float(w[k]), WorkDistribution(cut)
 

@@ -211,6 +211,20 @@ class TestEquality:
         assert out["eps"] == 0.05
         assert out["residual"] <= 1e-12
 
+    def test_eps_next_below_one_cuts_at_forward_mass(self, tmp_path, capsys):
+        # the first paired run carries reverse mass only; within 1e-15 of 1
+        # its tail counted as at most eps, and the cut kept no forward mass
+        doc = {"mode": "equality", "levels": [0, 0], "rho0": [1, 0],
+               "in_levels": [0], "eps": 0.9999999999999999,
+               "steps": [{"type": "change", "levels": [0, 1],
+                          "jump": [[0.5, 0.5], [0.5, 0.5]]}]}
+        assert main(["--config", write_config(tmp_path, doc)]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == ""
+        assert all(math.isfinite(v) for v in report.values() if not isinstance(v, bool))
+        assert report["w0_in"] == 0.0 and report["residual"] <= 1e-12
+
 
 def near_coincident_config(mode, rho0, **extra):
     """Levels [0, 2] changed to [0, 1e-9] under a fully mixing jump: the
@@ -307,6 +321,18 @@ class TestEboxModes:
         assert rows[0.0] == pytest.approx(1.0, abs=1e-10)
         z_ratio = (1 + math.exp(-2.0)) / 2.0
         assert rows[-1.0] == pytest.approx(z_ratio, rel=1e-7)
+
+    def test_charfn_step_too_coarse_exit_2(self, tmp_path, capsys):
+        # four RK4 steps of 6 time units leave phi negative at tau: the run
+        # printed z = -1602895896000.9551 at xi = 0.7
+        doc = {"mode": "ebox-charfn", "gamma0": 1, "eps_c": 1,
+               "ramp": {"shape": "linear", "eps0": 8, "epsf": 0, "tau": 24},
+               "rho0": [1, 0], "xi_values": [0, 0.7], "n_steps": 4}
+        assert main(["--config", write_config(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid-input: phi at tau is negative")
+        assert err.endswith("reduce the step size\n")
 
     def test_sweep_header_and_speeds(self, tmp_path, capsys):
         doc = {

@@ -44,7 +44,12 @@ from wcwork import (
     work_distribution,
 )
 
-from tests_support import closure_rk4_z, partial_swap_chain_protocol
+from tests_support import (
+    closure_rk4,
+    closure_rk4_z,
+    partial_swap_chain_protocol,
+    pointwise_series_oracle,
+)
 
 PARAMS = EboxParams(gamma0=1.0, eps_c=1.0, beta=1.0)
 
@@ -566,6 +571,31 @@ class TestJumpSeries:
         with pytest.raises(ConvergenceError):
             analytic_work_distribution(ramp, 0, grid, np.array([1.0, 0.0]), params)
 
+    @pytest.mark.parametrize("ramp", [
+        szilard_ramp(5.0, 1.0), linear_ramp(0.0, 1.5, 1.0),
+        Ramp(times=[0.0, 0.3, 0.7, 1.1], values=[1.0, -2.0, 3.0, 0.5])],
+        ids=["szilard", "linear", "points"])
+    @pytest.mark.parametrize("rho0", [[1.0, 0.0], [0.3, 0.7]])
+    @pytest.mark.parametrize("params", [
+        EboxParams(gamma0=0.05, eps_c=1.0, beta=1.0),
+        EboxParams(gamma0=0.03, eps_c=1.5, beta=0.6)], ids=["beta1", "beta0.6"])
+    def test_matches_the_pointwise_oracle_bit_for_bit(self, ramp, rho0, params):
+        # the series gathers every jump time's splitting, rates and rate
+        # integrals from per-midpoint tables; the oracle interpolates them
+        grid = np.linspace(-4.0, 6.0, 121)
+        for j_max in range(5):
+            atoms, bin_masses, remainder = pointwise_series_oracle(
+                ramp, j_max, grid, rho0, params)
+            if remainder > 0.05:
+                with pytest.raises(ConvergenceError):
+                    analytic_work_distribution(ramp, j_max, grid, rho0, params)
+                assert j_max == 0  # from level 1 without a jump
+                continue
+            dist = analytic_work_distribution(ramp, j_max, grid, rho0, params)
+            assert dist.atoms.tolist() == atoms.tolist()
+            assert dist.bin_masses.tolist() == bin_masses.tolist()
+            assert dist.remainder == remainder
+
     def test_grid_validation(self):
         with pytest.raises(InvalidInputError):
             analytic_work_distribution(
@@ -657,6 +687,33 @@ class TestTiltedIntegrator:
         m, _ = mean_work(ramp, rho0, 2000, params)
         assert z[1] == pytest.approx(1.0, abs=1e-12)
         assert m == pytest.approx((z[2] - z[0]) / 2e-4, abs=1e-7)
+
+    @pytest.mark.parametrize("ramp", [
+        szilard_ramp(5.0, 1.0), linear_ramp(8.0, 0.0, 24.0),
+        Ramp(times=[0.0, 0.4, 1.0, 1.7], values=[1.0, -2.0, 3.0, 0.5])],
+        ids=["szilard", "linear", "points"])
+    def test_mean_work_and_master_match_the_closure_bit_for_bit(self, ramp):
+        params = EboxParams(gamma0=0.4, eps_c=1.2, beta=0.8)
+        for rho0 in ([1.0, 0.0], [0.3, 0.7]):
+            for n_steps in (60, 301):
+                nodes = closure_rk4(0.0, ramp, rho0, n_steps, params)
+                m, bound = mean_work(ramp, rho0, n_steps, params, lambda_probe=0.7)
+                assert m == nodes[-1, 2]
+                assert bound == math.log(closure_rk4_z(0.7, ramp, rho0, n_steps, params)) / 0.7
+                _, occ = integrate_master(ramp, rho0, n_steps, params)
+                p0 = np.clip(nodes[:, 0], 0.0, 1.0)
+                assert occ[:, 0].tolist() == p0.tolist()
+                assert occ[:, 1].tolist() == (1.0 - p0).tolist()
+
+    def test_step_too_coarse_raises_step_size_error(self):
+        # steps of 6 and of 0.65 time units at rates up to 8 leave phi
+        # negative at tau, and the Jensen bound took the log of a negative Z
+        ramp, params = linear_ramp(8.0, 0.0, 24.0), EboxParams(1.0, 1.0, 1.0)
+        for rho0, n_steps in (([1.0, 0.0], 4), ([0.46, 0.54], 37)):
+            with pytest.raises(StepSizeError, match="reduce the step size"):
+                mean_work(ramp, rho0, n_steps, params, lambda_probe=0.7)
+        with pytest.raises(StepSizeError, match="negative at xi=0.7 with 37 steps"):
+            characteristic_function([0.7], ramp, [0.46, 0.54], 37, params)
 
     def test_tilt_validation_and_divergence(self):
         ramp, rho0 = linear_ramp(0.0, 2.0, 1.0), np.array([1.0, 0.0])

@@ -2,8 +2,9 @@
 protocols, the path-walk oracles of the work distribution and of the
 largest work, the entry-by-entry merge and pairing oracles, the first
 form of the column-stochastic check, the subset-by-subset smoothed-D0
-oracle, the stage-by-stage RK4 reference for the electron box, and the
-electron box's partial-swap chain as a discrete protocol.
+oracle, the stage-by-stage RK4 reference for the electron box, its
+jump series interpolated at every jump time, and the electron box's
+partial-swap chain as a discrete protocol.
 
 The oracle expands every positive-probability trajectory of a protocol and
 bins the path works in a per-atom loop.  It grows as d^(steps+1), so it only
@@ -22,11 +23,13 @@ from wcwork import (
     HamiltonianChange,
     Protocol,
     Thermalization,
+    bin_works,
     d_zero,
     partial_swap_hop_matrix,
     swap_probability,
     tunneling_rate,
 )
+from wcwork import ebox
 from wcwork.model import PROB_ATOL
 
 
@@ -274,12 +277,15 @@ def column_stochastic_oracle(m):
     return bool(np.all(np.abs(m.sum(axis=0) - 1.0) <= PROB_ATOL * max(1, m.shape[0])))
 
 
-def closure_rk4_z(xi, ramp, rho0, n_steps, params):
-    """Z(xi) from a per-piece RK4 whose right-hand side evaluates the ramp and
-    the rates at every stage: the reference the electron-box integrator,
-    which evaluates them once per call, must match bit for bit."""
-    phi = np.array(rho0, dtype=float)
-    grid = ramp.time_grid(max(n_steps, 4))
+def closure_rk4(xi, ramp, rho0, n_steps, params):
+    """Per-piece RK4 on ``ramp.time_grid(n_steps)`` whose right-hand side
+    evaluates the ramp and the rates at every stage, for (phi_0, phi_1) and
+    the accumulator w' = deps/dt * phi_1: the reference the electron-box
+    integrator, which evaluates them once per call, must match bit for bit.
+    Returns the (phi_0, phi_1, w) rows at every node."""
+    phi = np.array([*rho0, 0.0], dtype=float)
+    nodes = [phi]
+    grid = ramp.time_grid(n_steps)
     bounds = np.searchsorted(grid, ramp.times)
     slopes = (np.diff(ramp.values) / np.diff(ramp.times)).tolist()
     for lo, hi, slope in zip(bounds[:-1], bounds[1:], slopes):
@@ -289,7 +295,8 @@ def closure_rk4_z(xi, ramp, rho0, n_steps, params):
             gp = tunneling_rate(e, params)
             gm = tunneling_rate(-e, params)
             return np.array([-gp * phi[0] + gm * phi[1],
-                             gp * phi[0] - gm * phi[1] + xi * slope * phi[1]])
+                             gp * phi[0] - gm * phi[1] + xi * slope * phi[1],
+                             slope * phi[1]])
 
         for k in range(lo, hi):
             t, h = grid[k], grid[k + 1] - grid[k]
@@ -298,7 +305,62 @@ def closure_rk4_z(xi, ramp, rho0, n_steps, params):
             k3 = f(t + h / 2, phi + h / 2 * k2)
             k4 = f(t + h, phi + h * k3)
             phi = phi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return float(phi.sum())
+            nodes.append(phi)
+    return np.array(nodes)
+
+
+def closure_rk4_z(xi, ramp, rho0, n_steps, params):
+    """Z(xi) = phi_0 + phi_1 at tau from ``closure_rk4`` on at least 4 steps,
+    as the characteristic function steps."""
+    phi0, phi1, _ = closure_rk4(xi, ramp, rho0, max(n_steps, 4), params)[-1]
+    return float(phi0 + phi1)
+
+
+def pointwise_series_oracle(ramp, j_max, w_grid, rho0, params):
+    """The jump-expansion series as first written: per start level and per
+    jump count J, the J-subsets of the midpoints are built anew, and the
+    splitting, the rates and the rate integrals are interpolated at every
+    jump time of every subset.  Returns (atoms, bin masses, remainder)
+    without the remainder check."""
+    cumint = ebox._cumulative_rate_integrals(ramp, params)
+    tau = ramp.tau
+    eps0, epsf = float(ramp(0.0)), float(ramp(tau))
+
+    def seg_sign(sigma0, j):
+        return +1 if (sigma0 + j + 1) % 2 == 0 else -1
+
+    atom_w, atom_p = [], []
+    bin_masses = np.zeros(len(w_grid) - 1)
+    for sigma0 in (0, 1):
+        p_init = float(rho0[sigma0])
+        if p_init == 0.0:
+            continue
+        atom_w.append(epsf - eps0 if sigma0 else 0.0)
+        atom_p.append(p_init * math.exp(-cumint[seg_sign(sigma0, 1)](tau)))
+        for j_jumps in range(1, j_max + 1):
+            n = ebox._JUMP_GRID_DEFAULTS.get(j_jumps, ebox._JUMP_GRID_FALLBACK)
+            mid = (np.arange(n) + 0.5) * tau / n
+            combos = itertools.combinations(range(n), j_jumps)
+            combos = np.fromiter(itertools.chain.from_iterable(combos), dtype=int)
+            t_mat = mid[combos.reshape(-1, j_jumps)]
+            rates = np.ones(t_mat.shape[0])
+            action = np.zeros(t_mat.shape[0])
+            prev = np.zeros(t_mat.shape[0])
+            for j in range(1, j_jumps + 1):
+                s = seg_sign(sigma0, j)
+                tj = t_mat[:, j - 1]
+                rates *= np.atleast_1d(tunneling_rate(s * ramp(tj), params))
+                action += cumint[s](tj) - cumint[s](prev)
+                prev = tj
+            s_last = seg_sign(sigma0, j_jumps + 1)
+            action += cumint[s_last](tau) - cumint[s_last](prev)
+            weights = p_init * rates * np.exp(-action) * (tau / n)**j_jumps
+            signs = np.array([(-1.0) ** (sigma0 + j) for j in range(1, j_jumps + 1)])
+            w_vals = (ramp(t_mat) @ signs + ((sigma0 + j_jumps) % 2) * epsf
+                      - sigma0 * eps0)
+            bin_masses += np.histogram(w_vals, bins=w_grid, weights=weights)[0]
+    atoms = bin_works(atom_w, atom_p, 1e-9).atoms
+    return atoms, bin_masses, 1.0 - (atoms[:, 1].sum() + bin_masses.sum())
 
 
 def partial_swap_chain_protocol(ramp, n_steps, params):
