@@ -9,8 +9,8 @@ and level 1 sits at the time-dependent splitting eps(t).
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -458,10 +458,13 @@ def analytic_work_distribution(
     tables = []
     for j_jumps in range(1, j_max + 1):
         n = _JUMP_GRID_DEFAULTS.get(j_jumps, _JUMP_GRID_FALLBACK)
-        combos = itertools.combinations(range(1, n + 1), j_jumps)
-        combos = np.fromiter(itertools.chain.from_iterable(combos), dtype=int)
-        path = np.pad(combos.reshape(-1, j_jumps), ((0, 0), (1, 1)),
-                      constant_values=((0, 0), (0, n + 1)))
+        combos = np.arange(1, n + 1)[:, None]
+        for _ in range(j_jumps - 1):  # each subset extended by every later index
+            count = n - combos[:, -1]
+            after = np.repeat(combos[:, -1] + 1 - (count.cumsum() - count), count)
+            combos = np.column_stack([np.repeat(combos, count, axis=0),
+                                      np.arange(count.sum()) + after])
+        path = np.pad(combos, ((0, 0), (1, 1)), constant_values=((0, 0), (0, n + 1)))
         t = np.concatenate([[0.0], (np.arange(n) + 0.5) * tau / n, [tau]])
         e = ramp(t)
         rate = {s: tunneling_rate(s * e, params) for s in (+1, -1)}
@@ -577,6 +580,9 @@ def mean_work(
     z, w = _tilted_end(xis, ramp, rho0, n_steps, params)
     bound = None
     if lambda_probe is not None:
+        if z[1] < sys.float_info.min:  # RK4 keeps few bits of a subnormal Z
+            raise NumericError(f"Z({lambda_probe!r}) = {float(z[1])!r} is below the normal "
+                               "double range; use a smaller |lambda_probe|")
         bound = float(math.log(z[1]) / lambda_probe)
     return float(w[0]), bound
 

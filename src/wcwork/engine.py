@@ -3,11 +3,12 @@
 A trajectory visits one level per protocol node (len(steps) + 1 nodes); its
 probability is the initial occupation times the product of transition matrix
 entries, and its work is the sum of per-change energy differences.  Instead
-of expanding every trajectory, the recursion carries a (work x level) table
-of masses over sorted distinct works.  A thermalization only mixes each row's
-levels; a level change sorts its candidates' works once and merges all works
-within the merge tolerance, whatever their levels.  Whenever works recur, as
-on the lattice of a discretized ramp, the table stays polynomial in the steps.
+of expanding every trajectory, the recursion carries a (level x work) table
+of masses over sorted distinct works.  A thermalization only mixes each
+work's levels; a level change sorts its candidates' works once and merges all
+works within the merge tolerance, whatever their levels.  Whenever works
+recur, as on the lattice of a discretized ramp, the table stays polynomial in
+the steps.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _forward(protocol: Protocol, rho0: np.ndarray):
     """Sorted works, each more than the merge tolerance from the next, and
     their masses, by the exact recursion from the occupations ``rho0``."""
     d, energies = protocol.d, protocol.initial.energies
-    work, prob = np.zeros(1), rho0[None, :]
+    work, prob = np.zeros(1), rho0[:, None]  # prob[level, work]
     for step in protocol.steps:
         if prob.size * d > LIVE_ENTRY_CAP:
             raise ResourceLimitError(
@@ -104,17 +105,19 @@ def _forward(protocol: Protocol, rho0: np.ndarray):
                 f"{LIVE_ENTRY_CAP}; use Monte Carlo sampling instead")
         m, n = step.matrix, work.size
         if not isinstance(step, HamiltonianChange):
-            prob = sum(prob[:, lv, None] * m[:, lv] for lv in range(d))
+            # one old level at a time, in ascending order: not np.add.reduce,
+            # which sums a long axis pairwise when there is a single work
+            prob = sum(m[:, lv, None] * prob[lv] for lv in range(d))
             continue
         # candidates in (level, new level, row) blocks, each sorted by work
-        cand = (m.T[:, :, None] * prob.T[:, None, :]).ravel()
+        cand = (m.T[:, :, None] * prob[:, None, :]).ravel()
         cand_work = (work + (step.target.energies - energies[:, None])[:, :, None]).ravel()
         energies = step.target.energies
         live = np.flatnonzero(cand > 0)
         work, _, run = _merge(cand_work[live], cand[live], _MERGE_TOLERANCE)
-        prob = np.bincount(run * d + live // n % d, weights=cand[live],
-                           minlength=work.size * d).reshape(work.size, d)
-    mass = prob.sum(axis=1)
+        prob = np.bincount(live // n % d * work.size + run, weights=cand[live],
+                           minlength=d * work.size).reshape(d, work.size)
+    mass = np.ascontiguousarray(prob.T).sum(axis=1)  # each work's levels in order
     return work[mass > 0], mass[mass > 0]
 
 
@@ -147,19 +150,23 @@ def work_distribution(protocol: Protocol, rho0: DiagonalState,
     """
     if rho0.d != protocol.d:
         raise InvalidInputError("state dimension does not match protocol")
-    return bin_works(*_forward(protocol, rho0.probs), bin_tolerance)
+    work, prob = _forward(protocol, rho0.probs)
+    if bin_tolerance == 0.0:  # the works are already distinct
+        return WorkDistribution(np.column_stack([work, prob]))
+    return bin_works(work, prob, bin_tolerance)
 
 
-def _max_work(protocol: Protocol, rho0: np.ndarray) -> float:
+def _max_work(protocol: Protocol, rho0: np.ndarray):
     """Largest work over the paths from the levels occupied in ``rho0`` whose
-    every step has positive probability: a max-plus recursion over levels."""
+    every step has positive probability: a max-plus recursion over levels.
+    A (k, d) stack of occupations gives k works in one pass."""
     best, energies = np.where(rho0 > 0, 0.0, -np.inf), protocol.initial.energies
     for step in protocol.steps:
         d_e = 0.0
         if isinstance(step, HamiltonianChange):
             d_e, energies = step.target.energies[:, None] - energies, step.target.energies
-        best = np.where(step.matrix > 0, best + d_e, -np.inf).max(axis=1)
-    return float(best.max())
+        best = np.where(step.matrix > 0, best[..., None, :] + d_e, -np.inf).max(axis=-1)
+    return best.max(axis=-1)
 
 
 def worst_case_work(dist: WorkDistribution) -> float:

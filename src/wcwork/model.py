@@ -28,6 +28,15 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return arr
 
 
+def _trusted(cls, **fields):
+    """A frozen dataclass ``cls`` with ``fields`` set as given and its checks
+    skipped: only for fields taken from objects that already passed them."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def is_column_stochastic(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -271,11 +280,12 @@ def reverse_protocol(p: Protocol) -> Protocol:
     thermalization sequence.
 
     The landscape in force at a thermalization is unchanged under reversal, so
-    each validated Thermalization is reused as-is (the reversed Protocol checks
-    its detailed balance again), and the construction is an involution.
+    each validated Thermalization is reused as-is, and the construction is an
+    involution.  A transposed doubly stochastic jump is doubly stochastic, so
+    the reversed steps and Protocol are built without checking them again.
     """
     lands = p.landscapes()
-    rev_steps = [HamiltonianChange(target=lands[k], jump=step.jump.T)
+    rev_steps = [_trusted(HamiltonianChange, target=lands[k], jump=step.jump.T)
                  if isinstance(step, HamiltonianChange) else step
                  for k, step in reversed(list(enumerate(p.steps)))]
-    return Protocol(initial=lands[-1], beta=p.beta, steps=tuple(rev_steps))
+    return _trusted(Protocol, initial=lands[-1], beta=p.beta, steps=tuple(rev_steps))

@@ -715,6 +715,15 @@ class TestTiltedIntegrator:
         with pytest.raises(StepSizeError, match="negative at xi=0.7 with 37 steps"):
             characteristic_function([0.7], ramp, [0.46, 0.54], 37, params)
 
+    def test_subnormal_jensen_probe_raises_numeric_error(self):
+        # every work is 2, so Z(lambda) = exp(2 lambda): at lambda = -400 the
+        # RK4 gave a subnormal Z and a bound of 1.861, below the mean 2; at
+        # lambda = -1000 Z underflowed to 0 and its log raised ValueError
+        ramp, params = linear_ramp(0.0, 2.0, 1.0), EboxParams(0.0, 1.0, 1.0)
+        for probe in (-400.0, -1000.0):
+            with pytest.raises(NumericError, match="below the normal double range"):
+                mean_work(ramp, [0.0, 1.0], 2000, params, lambda_probe=probe)
+
     def test_tilt_validation_and_divergence(self):
         ramp, rho0 = linear_ramp(0.0, 2.0, 1.0), np.array([1.0, 0.0])
         for bad in (math.inf, [0.0, math.nan], [[0.0]]):

@@ -43,6 +43,7 @@ from tests_support import (
     paired_runs_oracle,
     partial_swap_chain_protocol,
     random_protocol,
+    row_major_forward,
     trajectory_work,
 )
 
@@ -229,6 +230,54 @@ class TestMaxWork:
         occupied = np.zeros(prot.d)
         occupied[starts] = data.draw(st.floats(2.0**-1074, 1.0))
         assert engine._max_work(prot, occupied) == max_work_oracle(prot, starts)
+
+
+class TestStackedMaxWork:
+    @settings(max_examples=100, deadline=None)
+    @given(prot=drawn_protocols(), data=st.data())
+    def test_stack_equals_single_starts(self, prot, data):
+        occupation = st.just(0.0) | st.floats(2.0**-1074, 1.0)
+        stack = np.array([data.draw(st.lists(occupation, min_size=prot.d,
+                                             max_size=prot.d)) for _ in range(2)])
+        singles = np.array([engine._max_work(prot, rho0) for rho0 in stack])
+        assert engine._max_work(prot, stack).tobytes() == singles.tobytes()
+
+
+@st.composite
+def off_grid_protocols(draw):
+    """Protocols at beta = 1 with 2-12 levels and 2-6 steps, with occupations
+    of every level.  Every energy is one of three drawn multiples of 1/7, which
+    a double holds exactly only at integers, so works recur through different
+    levels, differ in their last bits, and merge.  About half the draws start with a thermalization, which acts on
+    the start's single work."""
+    d = draw(st.integers(2, 12))
+    pool = draw(st.lists(st.integers(-21, 21).map(lambda k: k / 7.0), min_size=3,
+                         max_size=3))
+    landscapes = st.lists(st.sampled_from(pool), min_size=d, max_size=d).map(
+        lambda e: EnergyLandscape(np.array(e)))
+    land = draw(landscapes)
+    steps, current = [], land
+    for change in draw(st.lists(st.booleans(), min_size=2, max_size=6)):
+        if change:
+            perms = draw(st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+            weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(perms),
+                                             max_size=len(perms))))
+            jump = sum(w * np.eye(d)[list(q)] for w, q in zip(weights / weights.sum(), perms))
+            current = draw(landscapes)
+            steps.append(HamiltonianChange(target=current, jump=jump))
+        else:
+            p_swap = draw(st.floats(0.05, 1.0))
+            steps.append(Thermalization(hop=partial_swap_hop_matrix(current, 1.0, p_swap)))
+    occupations = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
+    return Protocol(initial=land, beta=1.0, steps=tuple(steps)), occupations / occupations.sum()
+
+
+class TestLevelMajorTable:
+    @settings(max_examples=200, deadline=None)
+    @given(case=off_grid_protocols())
+    def test_matches_the_row_major_recursion_bit_for_bit(self, case):
+        got, want = engine._forward(*case), row_major_forward(*case)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 # powers of two, so that works on the grid m * tol lie exactly tol apart

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from wcwork import engine, singleshot
+from wcwork import engine, model, singleshot
 from wcwork import (
     DiagonalState,
     EnergyLandscape,
@@ -239,6 +239,36 @@ class TestForwardPasses:
     def test_work_tail_equality_report(self, calls):
         work_tail_equality_report(*self.case(), 0.1)
         assert len(calls) == 2
+
+
+class TestDerivedProtocolsNotRechecked:
+    """The tilde protocol and the reversed protocol are built from steps and
+    landscapes that the caller's Protocol already checked, so neither the
+    reports nor the reversal check a step again."""
+
+    def case(self):
+        l0 = EnergyLandscape(np.array([0.0, 0.5, 1.2]))
+        l1 = EnergyLandscape(np.array([0.3, -0.2, 0.9]))
+        jump = 0.6 * np.eye(3) + 0.4 * np.eye(3)[[1, 2, 0]]
+        prot = Protocol(initial=l0, beta=1.0, steps=(
+            Thermalization(hop=partial_swap_hop_matrix(l0, 1.0, 0.4)),
+            HamiltonianChange(target=l1, jump=jump),
+            Thermalization(hop=partial_swap_hop_matrix(l1, 1.0, 0.6))))
+        return (DiagonalState(np.array([0.6, 0.3, 0.1])), prot,
+                LevelPartition(in_set=frozenset({0, 1}), d=3))
+
+    def test_no_detailed_balance_or_doubly_stochastic_check(self, monkeypatch):
+        rho0, prot, part = self.case()
+        counted = []
+        for name in ("satisfies_detailed_balance", "is_doubly_stochastic"):
+            def counting(*args, check=getattr(model, name), name=name):
+                counted.append(name)
+                return check(*args)
+            monkeypatch.setattr(model, name, counting)
+        main_equality_report(rho0, prot, part)
+        work_tail_equality_report(rho0, prot, part, 0.1)
+        reverse_protocol(prot)
+        assert counted == []
 
 
 class TestMainEquality:

@@ -1,10 +1,10 @@
 """Shared helpers for the test suite, a hypothesis strategy of drawn
 protocols, the path-walk oracles of the work distribution and of the
-largest work, the entry-by-entry merge and pairing oracles, the first
-form of the column-stochastic check, the subset-by-subset smoothed-D0
-oracle, the stage-by-stage RK4 reference for the electron box, its
-jump series interpolated at every jump time, and the electron box's
-partial-swap chain as a discrete protocol.
+largest work, the row-major form of the exact recursion, the entry-by-entry
+merge and pairing oracles, the first form of the column-stochastic check,
+the subset-by-subset smoothed-D0 oracle, the stage-by-stage RK4 reference
+for the electron box, its jump series interpolated at every jump time, and
+the electron box's partial-swap chain as a discrete protocol.
 
 The oracle expands every positive-probability trajectory of a protocol and
 bins the path works in a per-atom loop.  It grows as d^(steps+1), so it only
@@ -29,7 +29,7 @@ from wcwork import (
     swap_probability,
     tunneling_rate,
 )
-from wcwork import ebox
+from wcwork import ebox, engine
 from wcwork.model import PROB_ATOL
 
 
@@ -263,6 +263,30 @@ def paired_runs_oracle(fwd, rev, tol=1e-9):
         p.append(mass)
         q.append(sum((rev_probs[i - n] for i, _ in sorted(run) if i >= n), 0.0))
     return np.array(works), np.array(p), np.array(q)
+
+
+def row_major_forward(protocol, rho0):
+    """The exact recursion over a (work x level) table, as the engine first
+    carried it: a thermalization sums each row's levels in ascending order,
+    and a level change scatters its merged candidates row by row.  The
+    engine's level-major table must give its works and masses bit for bit."""
+    d, energies = protocol.d, protocol.initial.energies
+    work, prob = np.zeros(1), rho0[None, :]
+    for step in protocol.steps:
+        m, n = step.matrix, work.size
+        if not isinstance(step, HamiltonianChange):
+            prob = sum(prob[:, lv, None] * m[:, lv] for lv in range(d))
+            continue
+        cand = (m.T[:, :, None] * prob.T[:, None, :]).ravel()
+        cand_work = (work + (step.target.energies - energies[:, None])[:, :, None]).ravel()
+        energies = step.target.energies
+        live = np.flatnonzero(cand > 0)
+        work, _, run = engine._merge(cand_work[live], cand[live],
+                                     engine._MERGE_TOLERANCE)
+        prob = np.bincount(run * d + live // n % d, weights=cand[live],
+                           minlength=work.size * d).reshape(work.size, d)
+    mass = prob.sum(axis=1)
+    return work[mass > 0], mass[mass > 0]
 
 
 def column_stochastic_oracle(m):
