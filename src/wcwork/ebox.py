@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import bin_works
+from .engine import DEFAULT_BIN_TOLERANCE, bin_works
 from .errors import (
     ConvergenceError,
     InvalidInputError,
@@ -409,22 +409,6 @@ def monte_carlo_work(
     return WorkSamples(samples=works, final_levels=finals)
 
 
-def _cumulative_rate_integrals(ramp: Ramp, params: EboxParams):
-    """Interpolants x -> integral over [0, x] of Gamma(+eps) (key +1) and of
-    Gamma(-eps) (key -1), by the trapezoid rule on the ramp's time grid."""
-    t = ramp.time_grid(_RATE_INTEGRAL_NODES)
-    e = ramp(t)
-    gp = np.atleast_1d(tunneling_rate(e, params))
-    gm = np.atleast_1d(tunneling_rate(-e, params))
-
-    def cum(g):
-        inc = 0.5 * (g[1:] + g[:-1]) * np.diff(t)
-        return np.concatenate([[0.0], np.cumsum(inc)])
-
-    cp, cm = cum(gp), cum(gm)
-    return {+1: lambda x: np.interp(x, t, cp), -1: lambda x: np.interp(x, t, cm)}
-
-
 def analytic_work_distribution(
     ramp: Ramp,
     j_max: int,
@@ -447,14 +431,17 @@ def analytic_work_distribution(
         raise InvalidInputError("w_grid must be increasing bin edges")
     tau = ramp.tau
     eps0, epsf = float(ramp(0.0)), float(ramp(tau))
-    cumint = _cumulative_rate_integrals(ramp, params)
-
-    def seg_sign(sigma0, j):  # sign of the rate in segment/jump j (1-based)
-        return +1 if (sigma0 + j + 1) % 2 == 0 else -1
+    # row sigma: the rate out of level sigma, Gamma(+eps) for level 0 and
+    # Gamma(-eps) for level 1, and its trapezoid integral over [0, t]
+    t_int = ramp.time_grid(_RATE_INTEGRAL_NODES)
+    e_int = ramp(t_int)
+    g = tunneling_rate(np.stack([e_int, -e_int]), params)
+    cum_int = np.zeros_like(g)
+    np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * np.diff(t_int), axis=1, out=cum_int[:, 1:])
 
     # per J: each ordered J-subset of the n midpoints as a path of time
     # indices 0, its midpoints (1..n), n + 1, over the times 0, mid, tau, and
-    # the splitting, the rates Gamma(+-eps) and the integrals of both at them
+    # the splitting, both rates and both rate integrals at them
     tables = []
     for j_jumps in range(1, j_max + 1):
         n = _JUMP_GRID_DEFAULTS.get(j_jumps, _JUMP_GRID_FALLBACK)
@@ -467,8 +454,8 @@ def analytic_work_distribution(
         path = np.pad(combos, ((0, 0), (1, 1)), constant_values=((0, 0), (0, n + 1)))
         t = np.concatenate([[0.0], (np.arange(n) + 0.5) * tau / n, [tau]])
         e = ramp(t)
-        rate = {s: tunneling_rate(s * e, params) for s in (+1, -1)}
-        tables.append((path, e, rate, {s: cumint[s](t) for s in (+1, -1)}, tau / n))
+        cum = np.stack([np.interp(t, t_int, c) for c in cum_int])
+        tables.append((path, e, tunneling_rate(np.stack([e, -e]), params), cum, tau / n))
 
     atom_w, atom_p = [], []
     bin_masses = np.zeros(w_grid.size - 1)
@@ -476,34 +463,27 @@ def analytic_work_distribution(
         p_init = start[sigma0]
         if p_init == 0.0:
             continue
-        s0 = cumint[seg_sign(sigma0, 1)](tau)
         atom_w.append(epsf - eps0 if sigma0 else 0.0)
-        atom_p.append(p_init * math.exp(-s0))
+        atom_p.append(p_init * math.exp(-cum_int[sigma0, -1]))  # the grid ends at tau
         for j_jumps, (path, e, rate, cum, dtq) in enumerate(tables, start=1):
             rates = np.ones(path.shape[0])
             action = np.zeros(path.shape[0])
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 for j in range(1, j_jumps + 2):
-                    s = seg_sign(sigma0, j)
+                    held = (sigma0 + j - 1) % 2  # the level held up to path time j
                     if j <= j_jumps:
-                        rates *= rate[s][path[:, j]]
-                    action += cum[s][path[:, j]] - cum[s][path[:, j - 1]]
+                        rates *= rate[held][path[:, j]]
+                    action += cum[held][path[:, j]] - cum[held][path[:, j - 1]]
                 weights = p_init * rates * np.exp(-action) * dtq**j_jumps
             if not np.isfinite(weights).all():
                 raise NumericError(f"a {j_jumps}-jump series weight is not finite")
-            signs = np.array(
-                [(-1.0) ** (sigma0 + j) for j in range(1, j_jumps + 1)]
-            )
-            w_vals = (
-                e[path[:, 1:-1]] @ signs
-                + ((sigma0 + j_jumps) % 2) * epsf
-                - sigma0 * eps0
-            )
-            hist, _ = np.histogram(w_vals, bins=w_grid, weights=weights)
-            bin_masses += hist
+            signs = 1.0 - 2.0 * ((sigma0 + np.arange(1, j_jumps + 1)) % 2)
+            w_vals = (e[path[:, 1:-1]] @ signs + ((sigma0 + j_jumps) % 2) * epsf
+                      - sigma0 * eps0)
+            bin_masses += np.histogram(w_vals, bins=w_grid, weights=weights)[0]
 
-    # the no-jump atoms, merged where they lie within 1e-9 of each other
-    atoms = bin_works(atom_w, atom_p, 1e-9).atoms
+    # the no-jump atoms, merged where they are the same work
+    atoms = bin_works(atom_w, atom_p, DEFAULT_BIN_TOLERANCE).atoms
     remainder = 1.0 - (atoms[:, 1].sum() + bin_masses.sum())
     if remainder > _SERIES_REMAINDER_TOL:
         raise ConvergenceError(

@@ -112,7 +112,8 @@ class DiagonalState:
         arr = _readonly(self.probs)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("state needs at least one probability")
-        if (arr < -PROB_ATOL).any() or (arr > 1 + PROB_ATOL).any():
+        # min and max propagate a NaN, which then fails its comparison
+        if not (arr.min() >= -PROB_ATOL and arr.max() <= 1 + PROB_ATOL):
             raise InvalidInputError("probabilities must lie in [0, 1]")
         if abs(arr.sum() - 1.0) > PROB_ATOL * max(1, arr.size):
             raise InvalidInputError(f"probabilities sum to {arr.sum()!r}, not 1")
@@ -218,12 +219,16 @@ class LevelPartition:
     d: int
 
     def __post_init__(self):
-        in_set = frozenset(int(i) for i in self.in_set)
+        in_set = set()
+        for i in self.in_set:  # bool is an int subclass, but not an index
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise InvalidInputError(f"level index {i!r} is not an integer")
+            if not 0 <= i < self.d:
+                raise InvalidInputError("level index out of range")
+            in_set.add(int(i))
         if not in_set:
             raise InvalidInputError("retained level set must be nonempty")
-        if any(i < 0 or i >= self.d for i in in_set):
-            raise InvalidInputError("level index out of range")
-        object.__setattr__(self, "in_set", in_set)
+        object.__setattr__(self, "in_set", frozenset(in_set))
 
     @property
     def out_set(self) -> frozenset:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    DEFAULT_BIN_TOLERANCE,
     WorkDistribution,
     _forward,
     _masked,
@@ -46,7 +47,7 @@ _SMOOTH_SUPPORT_LIMIT = 20
 
 
 def _check_normalized(p: np.ndarray, name: str):
-    if abs(p.sum() - 1.0) > _NORM_ATOL:
+    if not abs(p.sum() - 1.0) <= _NORM_ATOL:  # a NaN sum fails too
         raise InvalidInputError(f"{name} is not normalized (sum={p.sum()!r})")
 
 
@@ -120,9 +121,6 @@ def smooth_d_zero(rho: DiagonalState, sigma: DiagonalState, eps: float) -> float
 # lifted levels with exactly zero occupation get a finite energy large enough
 # that their Gibbs weight underflows to 0.0 in double precision
 _ZERO_OCCUPATION_LIFT = 800.0
-# the mild assumption holds when the largest works over the tilde scenario's
-# paths from every start and from the retained starts agree within this
-_MILD_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,8 @@ def build_tilde_scenario(
     full = work_distribution(tilde_protocol, gamma_tilde, 0.0)
     top = _max_work(tilde_protocol, np.stack([gamma_tilde.probs,
                                               _masked(gamma_tilde, in_idx)]))
-    mild_ok = bool(abs(top[0] - top[1]) <= _MILD_TOLERANCE)
+    # mild assumption: the largest works from all and from retained starts agree
+    mild_ok = bool(abs(top[0] - top[1]) <= DEFAULT_BIN_TOLERANCE)
 
     return TildeScenario(
         gamma_tilde=gamma_tilde,
@@ -289,7 +288,7 @@ def out_of_set_probability(
     rho_in = _masked(rho0, partition.in_indices())
     work, prob = _forward(protocol, rho_in) if rho_in.any() else np.zeros((2, 0))
     return float(rho0.probs[partition.out_indices()].sum()
-                 + prob[work > w_threshold + 1e-9].sum())
+                 + prob[work > w_threshold + DEFAULT_BIN_TOLERANCE].sum())
 
 
 def markov_d_infinity_bound(

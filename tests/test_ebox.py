@@ -575,15 +575,17 @@ class TestJumpSeries:
         szilard_ramp(5.0, 1.0), linear_ramp(0.0, 1.5, 1.0),
         Ramp(times=[0.0, 0.3, 0.7, 1.1], values=[1.0, -2.0, 3.0, 0.5])],
         ids=["szilard", "linear", "points"])
-    @pytest.mark.parametrize("rho0", [[1.0, 0.0], [0.3, 0.7]])
+    @pytest.mark.parametrize("rho0", [[1.0, 0.0], [0.3, 0.7], [0.0, 1.0]])
     @pytest.mark.parametrize("params", [
         EboxParams(gamma0=0.05, eps_c=1.0, beta=1.0),
         EboxParams(gamma0=0.03, eps_c=1.5, beta=0.6)], ids=["beta1", "beta0.6"])
     def test_matches_the_pointwise_oracle_bit_for_bit(self, ramp, rho0, params):
         # the series gathers every jump time's splitting, rates and rate
-        # integrals from per-midpoint tables; the oracle interpolates them
+        # integrals from per-level, per-midpoint tables; the oracle computes
+        # its own rate integrals and interpolates them at every jump time.
+        # j_max 5 reaches the fallback grid of midpoints
         grid = np.linspace(-4.0, 6.0, 121)
-        for j_max in range(5):
+        for j_max in range(6):
             atoms, bin_masses, remainder = pointwise_series_oracle(
                 ramp, j_max, grid, rho0, params)
             if remainder > 0.05:

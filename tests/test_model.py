@@ -324,3 +324,14 @@ class TestLevelPartition:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError):
             LevelPartition(in_set=frozenset({5}), d=3)
+
+    @pytest.mark.parametrize("index", [1.7, 1.0, np.float64(1.0), True, np.True_, "1"])
+    def test_rejects_indices_that_are_not_integers(self, index):
+        # no index is truncated or read from a bool
+        with pytest.raises(InvalidInputError):
+            LevelPartition(in_set=frozenset({index}), d=2)
+
+    def test_numpy_integer_indices_become_ints(self):
+        part = LevelPartition(in_set=frozenset({np.int64(1), np.uint8(0)}), d=2)
+        assert part.in_set == {0, 1}
+        assert all(type(i) is int for i in part.in_set)

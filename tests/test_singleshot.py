@@ -43,6 +43,23 @@ def degenerate_thermalize_protocol(beta=1.0, p_swap=1.0):
     return Protocol(initial=land, beta=beta, steps=(Thermalization(hop=hop),))
 
 
+class TestNaNOccupations:
+    def test_rejected_by_the_state_and_by_d_infinity(self):
+        # every comparison with NaN is false, so only checks that NaN fails
+        # can reject it
+        prot = Protocol(initial=EnergyLandscape(np.zeros(2)), beta=1.0, steps=(
+            HamiltonianChange(target=EnergyLandscape(np.array([0.0, 1.0])),
+                              jump=np.eye(2)),))
+        nan_state = np.array([math.nan, 1.0])
+        with pytest.raises(InvalidInputError):
+            work_distribution(prot, DiagonalState(nan_state))
+        with pytest.raises(InvalidInputError):
+            main_equality_report(DiagonalState(nan_state), prot,
+                                 LevelPartition(in_set=frozenset({1}), d=2))
+        with pytest.raises(InvalidInputError):
+            d_infinity(nan_state, [0.5, 0.5])
+
+
 class TestDInfinity:
     def test_known_vectors(self):
         assert d_infinity([0.5, 0.5], [0.25, 0.75]) == pytest.approx(math.log(2))

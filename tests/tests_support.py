@@ -346,7 +346,16 @@ def pointwise_series_oracle(ramp, j_max, w_grid, rho0, params):
     splitting, the rates and the rate integrals are interpolated at every
     jump time of every subset.  Returns (atoms, bin masses, remainder)
     without the remainder check."""
-    cumint = ebox._cumulative_rate_integrals(ramp, params)
+    # the rate integrals as first written: one trapezoid cumsum per sign on
+    # the ramp's time grid, read through interpolants keyed +1 and -1
+    t_int = ramp.time_grid(ebox._RATE_INTEGRAL_NODES)
+    e_int = ramp(t_int)
+
+    def integral(g):
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t_int))])
+        return lambda x: np.interp(x, t_int, cum)
+
+    cumint = {s: integral(np.atleast_1d(tunneling_rate(s * e_int, params))) for s in (+1, -1)}
     tau = ramp.tau
     eps0, epsf = float(ramp(0.0)), float(ramp(tau))
 
